@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -186,32 +187,107 @@ func TestUploadSweepAdviseFlow(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t)
+	const (
+		unknownFormat  = `unknown format "ZIP"`
+		zeroPartition  = "partition size 0 outside [1, 1024]"
+		badThreads     = `bad threads "x" (want a positive integer)`
+		analyticThread = `threads applies only to the native backend, not "analytic"`
+		unknownBackend = `backend: unknown backend "gpu" (want one of [analytic native])`
+		unknownKernel  = `scenario: unknown kernel "warp" (want spmv, spmm:k, cg:N, jacobi:N, pagerank:N, or bfs)`
+		kernelCap      = `kernel "cg:5000" parameter exceeds 4096`
+	)
+	nativeThreads := fmt.Sprintf("threads 9999 outside [1, GOMAXPROCS=%d]", runtime.GOMAXPROCS(0))
+	// Every sweep-shaped endpoint checks matrix → formats → partitions →
+	// threads/backend → kernel (advise checks its objective between the
+	// partitions and the threads; GET /v1/sweep parses its partition and
+	// threads lists before anything else); the "order" rows carry several
+	// bad parameters and pin which one is reported.
 	cases := []struct {
 		name         string
 		method, path string
 		body         string
 		want         int
+		msg          string
 	}{
-		{"sweep unknown matrix", "POST", "/v1/sweep", `{"matrix":"nope"}`, http.StatusNotFound},
-		{"sweep missing matrix", "POST", "/v1/sweep", `{}`, http.StatusBadRequest},
-		{"sweep bad json", "POST", "/v1/sweep", `{"matrix":`, http.StatusBadRequest},
-		{"sweep unknown field", "POST", "/v1/sweep", `{"matrix":"2C","fmt":["CSR"]}`, http.StatusBadRequest},
-		{"sweep unknown format", "POST", "/v1/sweep", `{"matrix":"2C","formats":["ZIP"]}`, http.StatusBadRequest},
-		{"sweep bad partition", "POST", "/v1/sweep", `{"matrix":"2C","partitions":[0]}`, http.StatusBadRequest},
-		{"sweep huge partition", "POST", "/v1/sweep", `{"matrix":"2C","partitions":[4096]}`, http.StatusBadRequest},
-		{"get unknown matrix", "GET", "/v1/matrices/nope", "", http.StatusNotFound},
-		{"characterize unknown matrix", "GET", "/v1/characterize?matrix=nope", "", http.StatusNotFound},
-		{"characterize bad format", "GET", "/v1/characterize?matrix=2C&format=ZIP", "", http.StatusBadRequest},
-		{"characterize bad p", "GET", "/v1/characterize?matrix=2C&p=junk", "", http.StatusBadRequest},
-		{"advise unknown matrix", "GET", "/v1/advise?matrix=nope", "", http.StatusNotFound},
-		{"advise bad objective", "GET", "/v1/advise?matrix=2C&objective=vibes", "", http.StatusBadRequest},
-		{"upload garbage", "POST", "/v1/matrices", "not a matrix market file", http.StatusBadRequest},
+		{"sweep unknown matrix", "POST", "/v1/sweep", `{"matrix":"nope"}`, http.StatusNotFound, `unknown matrix "nope"`},
+		{"sweep missing matrix", "POST", "/v1/sweep", `{}`, http.StatusBadRequest, `missing "matrix"`},
+		{"sweep bad json", "POST", "/v1/sweep", `{"matrix":`, http.StatusBadRequest, "parse request: unexpected EOF"},
+		{"sweep unknown field", "POST", "/v1/sweep", `{"matrix":"2C","fmt":["CSR"]}`, http.StatusBadRequest, `parse request: json: unknown field "fmt"`},
+		{"sweep unknown format", "POST", "/v1/sweep", `{"matrix":"2C","formats":["ZIP"]}`, http.StatusBadRequest, unknownFormat},
+		{"sweep duplicate format", "POST", "/v1/sweep", `{"matrix":"2C","formats":["CSR","csr"]}`, http.StatusBadRequest, `duplicate format "csr"`},
+		{"sweep bad partition", "POST", "/v1/sweep", `{"matrix":"2C","partitions":[0]}`, http.StatusBadRequest, zeroPartition},
+		{"sweep huge partition", "POST", "/v1/sweep", `{"matrix":"2C","partitions":[4096]}`, http.StatusBadRequest, "partition size 4096 outside [1, 1024]"},
+		{"sweep duplicate partition", "POST", "/v1/sweep", `{"matrix":"2C","partitions":[8,8]}`, http.StatusBadRequest, "duplicate partition size 8"},
+		{"sweep threads on analytic", "POST", "/v1/sweep", `{"matrix":"2C","threads":2}`, http.StatusBadRequest, analyticThread},
+		{"sweep threads beyond GOMAXPROCS", "POST", "/v1/sweep", `{"matrix":"2C","backend":"native","threads":9999}`, http.StatusBadRequest, nativeThreads},
+		{"sweep unknown backend", "POST", "/v1/sweep", `{"matrix":"2C","backend":"gpu"}`, http.StatusBadRequest, unknownBackend},
+		{"sweep unknown kernel", "POST", "/v1/sweep", `{"matrix":"2C","kernel":"warp"}`, http.StatusBadRequest, unknownKernel},
+		{"sweep kernel over cap", "POST", "/v1/sweep", `{"matrix":"2C","kernel":"cg:5000"}`, http.StatusBadRequest, kernelCap},
+		{"sweep order matrix", "POST", "/v1/sweep", `{"matrix":"nope","formats":["ZIP"],"partitions":[0],"backend":"gpu","kernel":"warp"}`, http.StatusNotFound, `unknown matrix "nope"`},
+		{"sweep order formats", "POST", "/v1/sweep", `{"matrix":"2C","formats":["ZIP"],"partitions":[0],"backend":"gpu","kernel":"warp"}`, http.StatusBadRequest, unknownFormat},
+		{"sweep order partitions", "POST", "/v1/sweep", `{"matrix":"2C","partitions":[0],"threads":2,"backend":"gpu","kernel":"warp"}`, http.StatusBadRequest, zeroPartition},
+		{"sweep order backend", "POST", "/v1/sweep", `{"matrix":"2C","threads":2,"kernel":"warp"}`, http.StatusBadRequest, analyticThread},
+		{"sweep GET unknown matrix", "GET", "/v1/sweep?matrix=nope", "", http.StatusNotFound, `unknown matrix "nope"`},
+		{"sweep GET missing matrix", "GET", "/v1/sweep", "", http.StatusNotFound, `unknown matrix ""`},
+		{"sweep GET unknown format", "GET", "/v1/sweep?matrix=2C&formats=CSR,ZIP", "", http.StatusBadRequest, unknownFormat},
+		{"sweep GET unparsable partition", "GET", "/v1/sweep?matrix=2C&partitions=8,x", "", http.StatusBadRequest, `bad partition size "x"`},
+		{"sweep GET bad partition", "GET", "/v1/sweep?matrix=2C&partitions=0", "", http.StatusBadRequest, zeroPartition},
+		{"sweep GET unparsable threads", "GET", "/v1/sweep?matrix=2C&threads=x", "", http.StatusBadRequest, badThreads},
+		{"sweep GET threads on analytic", "GET", "/v1/sweep?matrix=2C&threads=2", "", http.StatusBadRequest, analyticThread},
+		{"sweep GET unknown backend", "GET", "/v1/sweep?matrix=2C&backend=gpu", "", http.StatusBadRequest, unknownBackend},
+		{"sweep GET unknown kernel", "GET", "/v1/sweep?matrix=2C&kernel=warp", "", http.StatusBadRequest, unknownKernel},
+		{"sweep GET bad cache mode", "GET", "/v1/sweep?matrix=2C&cache=maybe", "", http.StatusBadRequest, `bad cache mode "maybe" (want "only")`},
+		{"sweep GET order partition parse first", "GET", "/v1/sweep?matrix=nope&partitions=x&threads=x", "", http.StatusBadRequest, `bad partition size "x"`},
+		{"sweep GET order threads parse before matrix", "GET", "/v1/sweep?matrix=nope&threads=x", "", http.StatusBadRequest, badThreads},
+		{"sweep GET order kernel before cache mode", "GET", "/v1/sweep?matrix=2C&kernel=warp&cache=maybe", "", http.StatusBadRequest, unknownKernel},
+		{"get unknown matrix", "GET", "/v1/matrices/nope", "", http.StatusNotFound, `unknown matrix "nope"`},
+		{"characterize unknown matrix", "GET", "/v1/characterize?matrix=nope", "", http.StatusNotFound, `unknown matrix "nope"`},
+		{"characterize bad format", "GET", "/v1/characterize?matrix=2C&format=ZIP", "", http.StatusBadRequest, unknownFormat},
+		{"characterize bad p", "GET", "/v1/characterize?matrix=2C&p=junk", "", http.StatusBadRequest, `bad p: strconv.Atoi: parsing "junk": invalid syntax`},
+		{"characterize zero p", "GET", "/v1/characterize?matrix=2C&p=0", "", http.StatusBadRequest, zeroPartition},
+		{"characterize unparsable threads", "GET", "/v1/characterize?matrix=2C&threads=x", "", http.StatusBadRequest, badThreads},
+		{"characterize threads on analytic", "GET", "/v1/characterize?matrix=2C&threads=2", "", http.StatusBadRequest, analyticThread},
+		{"characterize unknown backend", "GET", "/v1/characterize?matrix=2C&backend=gpu", "", http.StatusBadRequest, unknownBackend},
+		{"characterize unknown kernel", "GET", "/v1/characterize?matrix=2C&kernel=warp", "", http.StatusBadRequest, unknownKernel},
+		{"characterize order matrix", "GET", "/v1/characterize?matrix=nope&format=ZIP&p=junk&threads=x", "", http.StatusNotFound, `unknown matrix "nope"`},
+		{"characterize order format", "GET", "/v1/characterize?matrix=2C&format=ZIP&p=junk&threads=x", "", http.StatusBadRequest, unknownFormat},
+		{"characterize order p", "GET", "/v1/characterize?matrix=2C&p=junk&threads=x&backend=gpu", "", http.StatusBadRequest, `bad p: strconv.Atoi: parsing "junk": invalid syntax`},
+		{"characterize order partition", "GET", "/v1/characterize?matrix=2C&p=0&threads=x&backend=gpu", "", http.StatusBadRequest, zeroPartition},
+		{"characterize order threads", "GET", "/v1/characterize?matrix=2C&threads=x&backend=gpu&kernel=warp", "", http.StatusBadRequest, badThreads},
+		{"characterize order backend", "GET", "/v1/characterize?matrix=2C&backend=gpu&kernel=warp", "", http.StatusBadRequest, unknownBackend},
+		{"advise unknown matrix", "GET", "/v1/advise?matrix=nope", "", http.StatusNotFound, `unknown matrix "nope"`},
+		{"advise bad objective", "GET", "/v1/advise?matrix=2C&objective=vibes", "", http.StatusBadRequest, `unknown objective "vibes" (want balanced or latency)`},
+		{"advise bad p", "GET", "/v1/advise?matrix=2C&p=junk", "", http.StatusBadRequest, `bad p: strconv.Atoi: parsing "junk": invalid syntax`},
+		{"advise zero p", "GET", "/v1/advise?matrix=2C&p=0", "", http.StatusBadRequest, zeroPartition},
+		{"advise unparsable threads", "GET", "/v1/advise?matrix=2C&threads=x", "", http.StatusBadRequest, badThreads},
+		{"advise threads on analytic", "GET", "/v1/advise?matrix=2C&threads=2", "", http.StatusBadRequest, analyticThread},
+		{"advise unknown backend", "GET", "/v1/advise?matrix=2C&backend=gpu", "", http.StatusBadRequest, unknownBackend},
+		{"advise unknown kernel", "GET", "/v1/advise?matrix=2C&kernel=warp", "", http.StatusBadRequest, unknownKernel},
+		{"advise order matrix", "GET", "/v1/advise?matrix=nope&p=junk&objective=vibes", "", http.StatusNotFound, `unknown matrix "nope"`},
+		{"advise order p", "GET", "/v1/advise?matrix=2C&p=junk&objective=vibes", "", http.StatusBadRequest, `bad p: strconv.Atoi: parsing "junk": invalid syntax`},
+		{"advise order partition", "GET", "/v1/advise?matrix=2C&p=0&objective=vibes", "", http.StatusBadRequest, zeroPartition},
+		{"advise order objective", "GET", "/v1/advise?matrix=2C&objective=vibes&threads=x&backend=gpu", "", http.StatusBadRequest, `unknown objective "vibes" (want balanced or latency)`},
+		{"advise order threads", "GET", "/v1/advise?matrix=2C&threads=x&backend=gpu&kernel=warp", "", http.StatusBadRequest, badThreads},
+		{"advise ignores format", "GET", "/v1/advise?matrix=2C&format=ZIP&kernel=warp", "", http.StatusBadRequest, unknownKernel},
+		{"job bad json", "POST", "/v1/jobs/sweep", `{"matrix":`, http.StatusBadRequest, "parse request: unexpected EOF"},
+		{"job unknown matrix", "POST", "/v1/jobs/sweep", `{"matrix":"nope"}`, http.StatusNotFound, `unknown matrix "nope"`},
+		{"job missing matrix", "POST", "/v1/jobs/sweep", `{}`, http.StatusNotFound, `unknown matrix ""`},
+		{"job unknown format", "POST", "/v1/jobs/sweep", `{"matrix":"2C","formats":["ZIP"]}`, http.StatusBadRequest, unknownFormat},
+		{"job bad partition", "POST", "/v1/jobs/sweep", `{"matrix":"2C","partitions":[0]}`, http.StatusBadRequest, zeroPartition},
+		{"job threads on analytic", "POST", "/v1/jobs/sweep", `{"matrix":"2C","threads":2}`, http.StatusBadRequest, analyticThread},
+		{"job unknown backend", "POST", "/v1/jobs/sweep", `{"matrix":"2C","backend":"gpu"}`, http.StatusBadRequest, unknownBackend},
+		{"job unknown kernel", "POST", "/v1/jobs/sweep", `{"matrix":"2C","kernel":"warp"}`, http.StatusBadRequest, unknownKernel},
+		{"job order matrix", "POST", "/v1/jobs/sweep", `{"matrix":"nope","formats":["ZIP"],"backend":"gpu"}`, http.StatusNotFound, `unknown matrix "nope"`},
+		{"job order formats", "POST", "/v1/jobs/sweep", `{"matrix":"2C","formats":["ZIP"],"partitions":[0],"backend":"gpu"}`, http.StatusBadRequest, unknownFormat},
+		{"job order partitions", "POST", "/v1/jobs/sweep", `{"matrix":"2C","partitions":[0],"backend":"gpu","kernel":"warp"}`, http.StatusBadRequest, zeroPartition},
+		{"job order backend", "POST", "/v1/jobs/sweep", `{"matrix":"2C","backend":"gpu","kernel":"warp"}`, http.StatusBadRequest, unknownBackend},
+		{"upload garbage", "POST", "/v1/matrices", "not a matrix market file", http.StatusBadRequest, ""},
 		{"upload skew diagonal", "POST", "/v1/matrices",
-			"%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n1 1 3\n", http.StatusBadRequest},
+			"%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n1 1 3\n", http.StatusBadRequest, ""},
 		{"upload oversized header", "POST", "/v1/matrices",
-			"%%MatrixMarket matrix coordinate real general\n99999999 99999999 1\n1 1 1\n", http.StatusBadRequest},
-		{"delete builtin", "DELETE", "/v1/matrices/2C", "", http.StatusForbidden},
-		{"delete unknown", "DELETE", "/v1/matrices/nope", "", http.StatusNotFound},
+			"%%MatrixMarket matrix coordinate real general\n99999999 99999999 1\n1 1 1\n", http.StatusBadRequest, ""},
+		{"delete builtin", "DELETE", "/v1/matrices/2C", "", http.StatusForbidden, ""},
+		{"delete unknown", "DELETE", "/v1/matrices/nope", "", http.StatusNotFound, ""},
 	}
 	for _, tc := range cases {
 		var body io.Reader
@@ -222,8 +298,12 @@ func TestErrorPaths(t *testing.T) {
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, code, tc.want, resp)
 		}
-		if resp["error"] == "" {
-			t.Errorf("%s: no error message", tc.name)
+		msg, _ := resp["error"].(string)
+		switch {
+		case msg == "":
+			t.Errorf("%s: no error message (%v)", tc.name, resp)
+		case tc.msg != "" && msg != tc.msg:
+			t.Errorf("%s: error %q, want %q", tc.name, msg, tc.msg)
 		}
 	}
 }
