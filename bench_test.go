@@ -11,6 +11,7 @@
 package copernicus_test
 
 import (
+	"context"
 	"io"
 	"runtime"
 	"strconv"
@@ -328,7 +329,20 @@ func BenchmarkSpMVFormats(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSmall measures a full Engine.Sweep over the reduced
+// benchSweep collects one SpMV sweep of ws across the core formats and
+// all three partition sizes under the analytic model.
+func benchSweep(e *copernicus.Engine, ws []copernicus.Workload) ([]copernicus.Result, error) {
+	var rs []copernicus.Result
+	err := e.SweepStreamExecWith(context.Background(), e.LocalExecutor(nil), ws,
+		[]copernicus.KernelSpec{copernicus.DefaultKernel()}, copernicus.CoreFormats(), copernicus.PartitionSizes(),
+		func(r copernicus.Result) error {
+			rs = append(rs, r)
+			return nil
+		})
+	return rs, err
+}
+
+// BenchmarkSweepSmall measures a full engine sweep over the reduced
 // SuiteSparse suite across the core formats and all three partition
 // sizes — the engine hot path the streaming-plan cache accelerates. The
 // engine is long-lived (as in report.Options), so plan reuse across
@@ -338,7 +352,7 @@ func BenchmarkSweepSmall(b *testing.B) {
 	ws := copernicus.SuiteSparseWorkloads(copernicus.WorkloadConfig{Scale: 256, RandomDim: 256, BandDim: 256})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := e.Sweep(ws, copernicus.CoreFormats(), copernicus.PartitionSizes())
+		rs, err := benchSweep(e, ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,7 +429,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := copernicus.NewEngine()
 				e.SetWorkers(workers)
-				if _, err := e.Sweep(ws, copernicus.CoreFormats(), copernicus.PartitionSizes()); err != nil {
+				if _, err := benchSweep(e, ws); err != nil {
 					b.Fatal(err)
 				}
 			}

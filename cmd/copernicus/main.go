@@ -276,6 +276,21 @@ func measure(name string, iters, points int, fn func() error) (benchResult, erro
 	}, nil
 }
 
+// collectSweep gathers a whole (workload × kernel × format × p) sweep
+// slab on the engine's own executor under backend b, in the engine's
+// deterministic order — the batch form the bench entries time.
+func collectSweep(ctx context.Context, e *copernicus.Engine, b copernicus.Backend, ws []copernicus.Workload, specs []copernicus.KernelSpec, kinds []copernicus.Format, ps []int) ([]copernicus.Result, error) {
+	out := make([]copernicus.Result, 0, len(ws)*len(specs)*len(kinds)*len(ps))
+	err := e.SweepStreamExecWith(ctx, e.LocalExecutor(b), ws, specs, kinds, ps, func(r copernicus.Result) error {
+		out = append(out, r)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // benchRecord is the perf-trajectory artifact emitted by `bench -json`.
 // Backend, GoVersion and GOMAXPROCS pin the measurement environment so
 // the trajectory stays comparable across machines, toolchains and
@@ -329,12 +344,13 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	}
 	ws := copernicus.SuiteSparseWorkloads(copernicus.WorkloadConfig{Scale: scale, RandomDim: scale, BandDim: scale})
 	points := len(ws) * len(copernicus.CoreFormats()) * len(copernicus.PartitionSizes())
-	slab, err := e.SweepWith(ctx, bk, ws, copernicus.CoreFormats(), copernicus.PartitionSizes())
+	spmv := []copernicus.KernelSpec{copernicus.DefaultKernel()}
+	slab, err := collectSweep(ctx, e, bk, ws, spmv, copernicus.CoreFormats(), copernicus.PartitionSizes())
 	if err != nil {
 		return err
 	}
 	res, err := measure("sweep_suitesparse_core_formats", iters, points, func() error {
-		_, err := e.SweepWith(ctx, bk, ws, copernicus.CoreFormats(), copernicus.PartitionSizes())
+		_, err := collectSweep(ctx, e, bk, ws, spmv, copernicus.CoreFormats(), copernicus.PartitionSizes())
 		return err
 	})
 	if err != nil {
@@ -342,7 +358,7 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	}
 	rec.Benchmarks = append(rec.Benchmarks, res)
 
-	// Streamed-sweep latency: the same warm sweep through SweepStreamWith,
+	// Streamed-sweep latency: the same warm sweep through SweepStreamExecWith,
 	// recording both how quickly the first result row reaches the caller
 	// (the latency a streaming client or NDJSON consumer sees) and the
 	// total stream time. On a warm engine the gap between the two is the
@@ -352,7 +368,7 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 	for i := 0; i < iters; i++ {
 		gotFirst := false
 		start := time.Now()
-		err := e.SweepStreamWith(ctx, bk, ws, copernicus.CoreFormats(), copernicus.PartitionSizes(),
+		err := e.SweepStreamExecWith(ctx, e.LocalExecutor(bk), ws, spmv, copernicus.CoreFormats(), copernicus.PartitionSizes(),
 			func(copernicus.Result) error {
 				if !gotFirst {
 					gotFirst = true
@@ -658,11 +674,11 @@ func benchCmd(ctx context.Context, scale, iters int, jsonOut bool, out, backendI
 		return err
 	}
 	axisSpecs := []copernicus.KernelSpec{copernicus.DefaultKernel(), cg60}
-	if _, err := e.SweepKernelsWith(ctx, bk, ws, axisSpecs, copernicus.CoreFormats(), copernicus.PartitionSizes()); err != nil {
+	if _, err := collectSweep(ctx, e, bk, ws, axisSpecs, copernicus.CoreFormats(), copernicus.PartitionSizes()); err != nil {
 		return err
 	}
 	res, err = measure("sweep_kernel_axis_warm", iters, 2*points, func() error {
-		_, err := e.SweepKernelsWith(ctx, bk, ws, axisSpecs, copernicus.CoreFormats(), copernicus.PartitionSizes())
+		_, err := collectSweep(ctx, e, bk, ws, axisSpecs, copernicus.CoreFormats(), copernicus.PartitionSizes())
 		return err
 	})
 	if err != nil {
@@ -982,7 +998,7 @@ func sweepCmd(ctx context.Context, m *copernicus.Matrix, kind, backendID string,
 	specs := []copernicus.KernelSpec{sc}
 	if csv {
 		fmt.Println("backend,kernel,iterations,format,p,seconds,ns_per_nnz,sigma,balance,bw_util,measured")
-		return e.SweepStreamKernelsWith(ctx, b, ws, specs, kinds, ps, func(r copernicus.Result) error {
+		return e.SweepStreamExecWith(ctx, e.LocalExecutor(b), ws, specs, kinds, ps, func(r copernicus.Result) error {
 			fmt.Printf("%s,%s,%d,%s,%d,%.6e,%.3f,%.3f,%.3f,%.4f,%t\n",
 				r.Backend, r.Kernel, r.Iterations, r.Format, r.P, r.Seconds, r.NsPerNNZ, r.Sigma,
 				r.BalanceRatio, r.BandwidthUtil, r.Measured)
@@ -992,7 +1008,7 @@ func sweepCmd(ctx context.Context, m *copernicus.Matrix, kind, backendID string,
 	fmt.Printf("matrix: %s, %dx%d, nnz=%d, density=%.4g\n",
 		kind, m.Rows, m.Cols, m.NNZ(), m.Density())
 	headed := false
-	return e.SweepStreamKernelsWith(ctx, b, ws, specs, kinds, ps, func(r copernicus.Result) error {
+	return e.SweepStreamExecWith(ctx, e.LocalExecutor(b), ws, specs, kinds, ps, func(r copernicus.Result) error {
 		if !headed {
 			headed = true
 			fmt.Printf("backend: %s", b.ID())

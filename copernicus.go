@@ -30,6 +30,7 @@
 package copernicus
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -191,17 +192,18 @@ type SynthReport = synth.Report
 // Backend costs characterization points: the analytic HLS cycle model
 // (the paper's instrument) or the measured native-CPU backend, which
 // times the warm streaming SpMV on the host. Both evaluate the same
-// encode-once plans — only the costing differs — so Engine methods with
-// a With suffix (CharacterizeWith, SweepWith, SweepFormatsWith,
-// SweepStreamWith, SweepGroupsWith, RecommendWith) accept a
-// context.Context and a Backend; nil selects the analytic default, and
-// a canceled context aborts the sweep mid-warmup with ctx.Err().
+// encode-once plans — only the costing differs — so the Engine's sweep
+// and recommend methods with a With suffix (SweepFormatsKernelWith,
+// RecommendKernelWith, and LocalExecutor for SweepStreamExecWith and
+// SweepGroupsExecWith) accept a Backend; nil selects the analytic
+// default, and a canceled context aborts the sweep mid-warmup with
+// ctx.Err().
 type Backend = backend.Backend
 
-// SweepGroup is one completed (workload, partition size) group of a
-// streaming sweep (Engine.SweepGroupsWith): its results in format order
-// plus the group's compute wall time. Engine.SweepStreamWith flattens
-// groups to single results; Engine.Sweep collects the whole slab.
+// SweepGroup is one completed (workload, kernel, partition size) group of
+// a streaming sweep (Engine.SweepGroupsExecWith): its results in format
+// order plus the group's compute wall time. Engine.SweepStreamExecWith
+// flattens groups to single results.
 type SweepGroup = core.SweepGroup
 
 // BackendMeasurement is one costed evaluation of a (plan, format) point.
@@ -246,10 +248,9 @@ func BackendIDs() []string { return backend.IDs() }
 // one SpMV (the default), a k-column SpMM, or an N-iteration solver loop
 // (cg, jacobi, pagerank) whose inner operation is the modelled SpMV. BFS
 // resolves its iteration count from the matrix itself (its frontier
-// level count). Engine methods with a Kernel infix — CharacterizeKernelWith,
-// SweepFormatsKernelWith, SweepKernelsWith, SweepStreamKernelsWith,
-// SweepGroupsKernelsWith, RecommendKernelWith — take the spec (or a list
-// of specs) as a sweep axis alongside formats and partition sizes.
+// level count). SweepFormatsKernelWith and RecommendKernelWith take one
+// spec; SweepStreamExecWith and SweepGroupsExecWith take a list of specs
+// as a sweep axis alongside formats and partition sizes.
 type KernelSpec = scenario.Spec
 
 // ParseKernel parses a kernel spec string: "spmv", "bfs", or
@@ -273,7 +274,11 @@ func DefaultHardware() HardwareConfig { return hlsim.Default() }
 // Characterize runs one (matrix, format, partition size) point on the
 // default engine, verifying the simulated SpMV result.
 func Characterize(m *Matrix, f Format, p int) (Result, error) {
-	return core.New().Characterize("matrix", m, f, p)
+	rs, err := core.New().SweepFormatsKernelWith(context.Background(), nil, "matrix", m, scenario.Default(), p, []Format{f})
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
 }
 
 // SpMV multiplies y = A·x through the modelled accelerator: A is
@@ -428,9 +433,6 @@ func SummarizeTrace(traces []TileTrace) TraceSummary { return hlsim.Summarize(tr
 func RenderTimeline(w io.Writer, traces []TileTrace, maxTiles int) error {
 	return hlsim.RenderTimeline(w, traces, maxTiles)
 }
-
-// PointRecommendation is one (format, partition size) design point.
-type PointRecommendation = core.PointRecommendation
 
 // LatencyObjective optimizes modelled time only.
 func LatencyObjective() Objective { return core.LatencyObjective() }

@@ -230,21 +230,6 @@ func TestTraceFacade(t *testing.T) {
 	}
 }
 
-func TestRecommendDesignFacade(t *testing.T) {
-	m := copernicus.PrunedWeights(96, 96, 0.2, 35)
-	points, err := copernicus.NewEngine().RecommendDesign(m, nil, nil, copernicus.BalancedObjective())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 21 { // 7 sparse formats × 3 partition sizes
-		t.Fatalf("points = %d", len(points))
-	}
-	var _ copernicus.PointRecommendation = points[0]
-	if points[0].Format == copernicus.CSC {
-		t.Fatal("CSC won")
-	}
-}
-
 func TestExtExperimentsFacade(t *testing.T) {
 	ids := copernicus.ExtExperiments()
 	if len(ids) != 9 { // ext1..ext7, the ext8 rank-agreement table, the ext9 kernel flip table

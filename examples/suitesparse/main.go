@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -30,11 +31,12 @@ func main() {
 	for _, w := range suite {
 		fmt.Printf("%-4s %-9.9s", w.ID, w.Kind)
 		best, bestTime := copernicus.Format(-1), math.Inf(1)
+		rs, err := engine.SweepFormatsKernelWith(context.Background(), nil, w.ID, w.M, copernicus.DefaultKernel(), 16, formats)
+		if err != nil {
+			log.Fatal(err)
+		}
 		for fi, f := range formats {
-			r, err := engine.Characterize(w.ID, w.M, f, 16)
-			if err != nil {
-				log.Fatal(err)
-			}
+			r := rs[fi]
 			fmt.Printf(" %7.2f", r.Sigma)
 			geomean[fi] += math.Log(r.Sigma)
 			if f != copernicus.Dense && r.Seconds < bestTime {

@@ -44,28 +44,23 @@ type Recommendation struct {
 // given partition size and ranks them under the objective. It is the
 // executable form of the paper's §8 guidance: rather than assuming a
 // specialized format fits a structured matrix, measure the whole pipeline
-// — decompressor mismatch can erase a format's storage advantage.
+// — decompressor mismatch can erase a format's storage advantage. It is
+// RecommendKernelWith for one SpMV under the analytic backend.
 func (e *Engine) Recommend(m *matrix.CSR, p int, candidates []formats.Kind, obj Objective) (Recommendation, error) {
-	return e.RecommendWith(context.Background(), nil, m, p, candidates, obj)
+	return e.RecommendKernelWith(context.Background(), nil, m, scenario.Default(), p, candidates, obj)
 }
 
-// RecommendWith is Recommend under an explicit context and backend (nil
-// selects the analytic default): the ranking's latency axis is then the
-// backend's cost — modelled seconds for analytic, measured host-CPU wall
-// time for native — while the power/resource axes stay the synthesis
-// estimates. A canceled ctx aborts the sweep behind the ranking.
-func (e *Engine) RecommendWith(ctx context.Context, b backend.Backend, m *matrix.CSR, p int, candidates []formats.Kind, obj Objective) (Recommendation, error) {
-	return e.RecommendKernelWith(ctx, b, m, scenario.Default(), p, candidates, obj)
-}
-
-// RecommendKernelWith is RecommendWith on the kernel axis: candidates are
-// ranked by their cost for the given kernel spec — "best format for 60 CG
+// RecommendKernelWith is Recommend under an explicit context, backend
+// (nil selects the analytic default) and kernel spec: candidates are
+// ranked by their cost for the kernel — "best format for 60 CG
 // iterations", not just "best format for one SpMV". Under the analytic
 // backend the latency axis is the amortized kernel cost (decomposition
 // paid once, per-iteration work × N); under native it is the measured
-// wall time of the real exec iteration loop. The one-shot decompression
-// penalty that dominates a single SpMV fades with iteration count, which
-// can flip the recommendation (report ext9 tabulates exactly this).
+// wall time of the real exec iteration loop, while the power/resource
+// axes stay the synthesis estimates. The one-shot decompression penalty
+// that dominates a single SpMV fades with iteration count, which can flip
+// the recommendation (report ext9 tabulates exactly this). A canceled ctx
+// aborts the sweep behind the ranking.
 func (e *Engine) RecommendKernelWith(ctx context.Context, b backend.Backend, m *matrix.CSR, sc scenario.Spec, p int, candidates []formats.Kind, obj Objective) (Recommendation, error) {
 	if len(candidates) == 0 {
 		candidates = formats.Sparse()
@@ -157,43 +152,6 @@ func scoreResults(rs []Result, obj Objective) []float64 {
 			obj.Resources*res[i] + obj.Balance*bal[i]
 	}
 	return scores
-}
-
-// PointRecommendation is one (format, partition size) design point with
-// its objective score.
-type PointRecommendation struct {
-	Format formats.Kind
-	P      int
-	Score  float64
-	Result Result
-}
-
-// RecommendDesign jointly ranks format × partition-size design points —
-// the full §4.2 hyperparameter space — under the objective. It returns
-// the points best-first. Empty candidates defaults to the seven sparse
-// formats; empty ps defaults to the paper's {8, 16, 32}.
-func (e *Engine) RecommendDesign(m *matrix.CSR, ps []int, candidates []formats.Kind, obj Objective) ([]PointRecommendation, error) {
-	if len(candidates) == 0 {
-		candidates = formats.Sparse()
-	}
-	if len(ps) == 0 {
-		ps = []int{8, 16, 32}
-	}
-	var rs []Result
-	for _, p := range ps {
-		sub, err := e.SweepFormats("advisor", m, p, candidates)
-		if err != nil {
-			return nil, err
-		}
-		rs = append(rs, sub...)
-	}
-	scores := scoreResults(rs, obj)
-	points := make([]PointRecommendation, len(rs))
-	for i, r := range rs {
-		points[i] = PointRecommendation{Format: r.Format, P: r.P, Score: scores[i], Result: r}
-	}
-	sort.SliceStable(points, func(a, b int) bool { return points[a].Score > points[b].Score })
-	return points, nil
 }
 
 func logDistToOne(v float64) float64 {

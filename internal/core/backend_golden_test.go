@@ -12,6 +12,7 @@ import (
 	"copernicus/internal/gen"
 	"copernicus/internal/hlsim"
 	"copernicus/internal/matrix"
+	"copernicus/internal/scenario"
 	"copernicus/internal/synth"
 	"copernicus/internal/workloads"
 )
@@ -72,10 +73,10 @@ func preBackendResult(t *testing.T, cfg hlsim.Config, name string, m *matrix.CSR
 }
 
 // TestAnalyticBackendBitIdentical is the refactor's golden guard: every
-// Result the engine produces through backend.Analytic — via Characterize,
-// CharacterizeWith, and SweepFormats — must equal the pre-backend
-// computation bit for bit (reflect.DeepEqual over float64 fields, no
-// tolerance). Regenerated sweep/advise/trace artifacts derive from these
+// Result the engine produces through backend.Analytic — one format at a
+// time (nil and explicit backend) and a whole format group — must equal
+// the pre-backend computation bit for bit (reflect.DeepEqual over float64
+// fields, no tolerance). Regenerated sweep/advise/trace artifacts derive from these
 // Results, so equality here is what keeps them byte-identical.
 func TestAnalyticBackendBitIdentical(t *testing.T) {
 	mats := map[string]*matrix.CSR{
@@ -88,29 +89,29 @@ func TestAnalyticBackendBitIdentical(t *testing.T) {
 		for _, p := range []int{8, 16} {
 			for _, k := range formats.Core() {
 				want := preBackendResult(t, e.Config(), name, m, k, p)
-				got, err := e.Characterize(name, m, k, p)
+				got, err := characterize(e, nil, name, m, k, p)
 				if err != nil {
 					t.Fatalf("%s/%v/p=%d: %v", name, k, p, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%v/p=%d: Characterize diverged from pre-backend path:\ngot  %+v\nwant %+v",
+					t.Fatalf("%s/%v/p=%d: one-format group diverged from pre-backend path:\ngot  %+v\nwant %+v",
 						name, k, p, got, want)
 				}
-				withB, err := e.CharacterizeWith(context.Background(), backend.Analytic{}, name, m, k, p)
+				withB, err := characterize(e, backend.Analytic{}, name, m, k, p)
 				if err != nil {
 					t.Fatalf("%s/%v/p=%d: %v", name, k, p, err)
 				}
 				if !reflect.DeepEqual(withB, want) {
-					t.Fatalf("%s/%v/p=%d: CharacterizeWith(Analytic) diverged", name, k, p)
+					t.Fatalf("%s/%v/p=%d: explicit Analytic backend diverged", name, k, p)
 				}
 			}
-			rs, err := e.SweepFormats(name, m, p, formats.Core())
+			rs, err := e.SweepFormatsKernelWith(context.Background(), nil, name, m, scenario.Default(), p, formats.Core())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, k := range formats.Core() {
 				if want := preBackendResult(t, e.Config(), name, m, k, p); !reflect.DeepEqual(rs[i], want) {
-					t.Fatalf("%s/%v/p=%d: SweepFormats diverged from pre-backend path", name, k, p)
+					t.Fatalf("%s/%v/p=%d: format group diverged from pre-backend path", name, k, p)
 				}
 			}
 		}
@@ -124,11 +125,11 @@ func TestNativeBackendEndToEnd(t *testing.T) {
 	e := New()
 	ws := []workloads.Workload{{ID: "rnd", M: gen.Random(128, 0.05, 9)}}
 	kinds := []formats.Kind{formats.CSR, formats.COO}
-	ana, err := e.Sweep(ws, kinds, []int{16})
+	ana, err := sweep(context.Background(), e, nil, ws, spmvOnly, kinds, []int{16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := e.SweepWith(context.Background(), &backend.Native{Runs: 2}, ws, kinds, []int{16})
+	nat, err := sweep(context.Background(), e, &backend.Native{Runs: 2}, ws, spmvOnly, kinds, []int{16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +159,15 @@ func TestNativeBackendEndToEnd(t *testing.T) {
 }
 
 // TestCharacterizeUnknownKindIsError: the unknown-format panic became an
-// error plumbed through Characterize (and thus Sweep).
+// error plumbed through SweepFormatsKernelWith (and thus every sweep).
 func TestCharacterizeUnknownKindIsError(t *testing.T) {
 	e := New()
 	m := gen.Random(64, 0.05, 3)
-	if _, err := e.Characterize("m", m, formats.Kind(99), 8); !errors.Is(err, hlsim.ErrUnknownFormat) {
-		t.Fatalf("Characterize(Kind(99)) error = %v, want hlsim.ErrUnknownFormat", err)
+	if _, err := characterize(e, nil, "m", m, formats.Kind(99), 8); !errors.Is(err, hlsim.ErrUnknownFormat) {
+		t.Fatalf("SweepFormatsKernelWith(Kind(99)) error = %v, want hlsim.ErrUnknownFormat", err)
 	}
 	ws := []workloads.Workload{{ID: "m", M: m}}
-	if _, err := e.Sweep(ws, []formats.Kind{formats.Kind(-2)}, []int{8}); !errors.Is(err, hlsim.ErrUnknownFormat) {
-		t.Fatalf("Sweep(Kind(-2)) error = %v, want hlsim.ErrUnknownFormat", err)
+	if _, err := sweep(context.Background(), e, nil, ws, spmvOnly, []formats.Kind{formats.Kind(-2)}, []int{8}); !errors.Is(err, hlsim.ErrUnknownFormat) {
+		t.Fatalf("sweep(Kind(-2)) error = %v, want hlsim.ErrUnknownFormat", err)
 	}
 }

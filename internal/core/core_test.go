@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,13 +10,14 @@ import (
 	"copernicus/internal/gen"
 	"copernicus/internal/hlsim"
 	"copernicus/internal/matrix"
+	"copernicus/internal/scenario"
 	"copernicus/internal/workloads"
 )
 
 func TestCharacterizeBasics(t *testing.T) {
 	e := New()
 	m := gen.Random(128, 0.05, 1)
-	r, err := e.Characterize("rand", m, formats.CSR, 16)
+	r, err := characterize(e, nil, "rand", m, formats.CSR, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestCharacterizeBasics(t *testing.T) {
 func TestCharacterizeDenseSigmaOne(t *testing.T) {
 	e := New()
 	m := gen.Random(96, 0.1, 2)
-	r, err := e.Characterize("rand", m, formats.Dense, 16)
+	r, err := characterize(e, nil, "rand", m, formats.Dense, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +50,11 @@ func TestCharacterizeDenseSigmaOne(t *testing.T) {
 func TestCharacterizeDeterministic(t *testing.T) {
 	e := New()
 	m := gen.Circuit(200, 3)
-	a, err := e.Characterize("c", m, formats.LIL, 8)
+	a, err := characterize(e, nil, "c", m, formats.LIL, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Characterize("c", m, formats.LIL, 8)
+	b, err := characterize(e, nil, "c", m, formats.LIL, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestNewWithConfigRejectsInvalid(t *testing.T) {
 func TestSweepFormatsOrder(t *testing.T) {
 	e := New()
 	m := gen.Random(64, 0.1, 4)
-	rs, err := e.SweepFormats("m", m, 8, formats.Core())
+	rs, err := e.SweepFormatsKernelWith(context.Background(), nil, "m", m, scenario.Default(), 8, formats.Core())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestSweepFormatsOrder(t *testing.T) {
 func TestSweepAllPoints(t *testing.T) {
 	e := New()
 	ws := workloads.BandSuite(workloads.Config{BandDim: 64})
-	rs, err := e.Sweep(ws[:2], []formats.Kind{formats.CSR, formats.DIA}, []int{8, 16})
+	rs, err := sweep(context.Background(), e, nil, ws[:2], spmvOnly, []formats.Kind{formats.CSR, formats.DIA}, []int{8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +114,11 @@ func TestFilter(t *testing.T) {
 func TestPaperInsightCOOBeatsDIAOnGraphs(t *testing.T) {
 	e := New()
 	m := gen.PreferentialAttachment(512, 6, 7)
-	coo, err := e.Characterize("g", m, formats.COO, 16)
+	coo, err := characterize(e, nil, "g", m, formats.COO, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dia, err := e.Characterize("g", m, formats.DIA, 16)
+	dia, err := characterize(e, nil, "g", m, formats.DIA, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +136,14 @@ func TestPaperInsightCOOBeatsDIAOnGraphs(t *testing.T) {
 func TestPaperInsightDIAUtilizationOnDiagonal(t *testing.T) {
 	e := New()
 	m := gen.Diagonal(256, 9)
-	r, err := e.Characterize("diag", m, formats.DIA, 32)
+	r, err := characterize(e, nil, "diag", m, formats.DIA, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.BandwidthUtil < 0.9 {
 		t.Fatalf("DIA utilization on diagonal = %.3f, want > 0.9", r.BandwidthUtil)
 	}
-	coo, err := e.Characterize("diag", m, formats.COO, 32)
+	coo, err := characterize(e, nil, "diag", m, formats.COO, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,52 +195,6 @@ func TestRecommendAvoidsCSC(t *testing.T) {
 	}
 }
 
-func TestRecommendDesignJointRanking(t *testing.T) {
-	e := New()
-	m := gen.Random(96, 0.05, 21)
-	points, err := e.RecommendDesign(m, nil, nil, LatencyObjective())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(formats.Sparse())*3 {
-		t.Fatalf("points = %d, want %d", len(points), len(formats.Sparse())*3)
-	}
-	for i := 1; i < len(points); i++ {
-		if points[i].Score > points[i-1].Score+1e-12 {
-			t.Fatal("points not sorted best-first")
-		}
-	}
-	// The winner under a latency objective must be the global minimum
-	// modelled time across all (format, p) pairs.
-	best := points[0].Result.Seconds
-	for _, pt := range points[1:] {
-		if pt.Result.Seconds < best-1e-15 {
-			t.Fatalf("%v/p=%d at %.3g beats winner at %.3g",
-				pt.Format, pt.P, pt.Result.Seconds, best)
-		}
-	}
-	if points[0].Format == formats.CSC {
-		t.Fatal("CSC won the design sweep")
-	}
-}
-
-func TestRecommendDesignCustomSpace(t *testing.T) {
-	e := New()
-	m := gen.Band(64, 4, 23)
-	points, err := e.RecommendDesign(m, []int{8}, []formats.Kind{formats.DIA, formats.ELL}, BalancedObjective())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d, want 2", len(points))
-	}
-	for _, pt := range points {
-		if pt.P != 8 {
-			t.Fatalf("unexpected partition size %d", pt.P)
-		}
-	}
-}
-
 func TestClassify(t *testing.T) {
 	if c := Classify(gen.Band(256, 8, 1)); c != ClassBanded {
 		t.Fatalf("band classified %v", c)
@@ -283,11 +239,11 @@ func TestVerificationActive(t *testing.T) {
 	e := New()
 	e.verifyTol = 0 // exact match required
 	m := gen.Band(64, 4, 5)
-	if _, err := e.Characterize("b", m, formats.DIA, 8); err != nil {
+	if _, err := characterize(e, nil, "b", m, formats.DIA, 8); err != nil {
 		// Exact float64 equality can fail from re-association; tolerate
 		// only that specific case by re-running with the default.
 		e2 := New()
-		if _, err2 := e2.Characterize("b", m, formats.DIA, 8); err2 != nil {
+		if _, err2 := characterize(e2, nil, "b", m, formats.DIA, 8); err2 != nil {
 			t.Fatalf("verification rejects a correct run: %v", err2)
 		}
 	}
@@ -313,7 +269,7 @@ func TestLogDistToOne(t *testing.T) {
 func TestPlanStatsResidentBytes(t *testing.T) {
 	e := New()
 	m := gen.Random(256, 0.02, 5)
-	if _, err := e.Characterize("m", m, formats.CSR, 16); err != nil {
+	if _, err := characterize(e, nil, "m", m, formats.CSR, 16); err != nil {
 		t.Fatal(err)
 	}
 	s := e.PlanStats()

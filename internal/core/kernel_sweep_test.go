@@ -17,37 +17,6 @@ func kernelTestWorkloads() []workloads.Workload {
 	}
 }
 
-// TestSweepKernelsDefaultSpecMatchesSweepWith: a kernel sweep over the
-// single default spec is the pre-kernel-axis sweep — identical results in
-// identical order, with the kernel columns filled in as one spmv
-// iteration. This is the wrapper contract every legacy caller relies on.
-func TestSweepKernelsDefaultSpecMatchesSweepWith(t *testing.T) {
-	ws := kernelTestWorkloads()
-	kinds := []formats.Kind{formats.CSR, formats.ELL, formats.CSC}
-	ps := []int{8, 16}
-	ctx := context.Background()
-
-	old, err := New().SweepWith(ctx, nil, ws, kinds, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kern, err := New().SweepKernelsWith(ctx, nil, ws, []scenario.Spec{scenario.Default()}, kinds, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kern) != len(old) {
-		t.Fatalf("kernel sweep returned %d results, SweepWith %d", len(kern), len(old))
-	}
-	for i := range old {
-		if kern[i] != old[i] {
-			t.Fatalf("result %d diverges:\n kernel: %+v\n legacy: %+v", i, kern[i], old[i])
-		}
-		if kern[i].Kernel != "spmv" || kern[i].Iterations != 1 {
-			t.Fatalf("result %d kernel columns = (%q, %d), want (spmv, 1)", i, kern[i].Kernel, kern[i].Iterations)
-		}
-	}
-}
-
 // TestSweepKernelsOrderingKernelMajor: with multiple specs the grid is
 // workload-major, then kernel, then partition — each workload's specs
 // appear as contiguous runs, each holding its full (format, p) block. The
@@ -59,7 +28,7 @@ func TestSweepKernelsOrderingKernelMajor(t *testing.T) {
 	kinds := []formats.Kind{formats.CSR, formats.ELL}
 	ps := []int{8, 16}
 
-	rs, err := New().SweepKernelsWith(context.Background(), nil, ws, specs, kinds, ps)
+	rs, err := sweep(context.Background(), New(), nil, ws, specs, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +60,7 @@ func TestSweepKernelsAmortizationOrdersSeconds(t *testing.T) {
 	specs := []scenario.Spec{scenario.Default(), scenario.MustParse("cg:60")}
 	kinds := formats.Sparse()
 
-	rs, err := New().SweepKernelsWith(context.Background(), nil, ws, specs, kinds, []int{16})
+	rs, err := sweep(context.Background(), New(), nil, ws, specs, kinds, []int{16})
 	if err != nil {
 		t.Fatal(err)
 	}

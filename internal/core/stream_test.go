@@ -20,27 +20,28 @@ func streamSuite() ([]workloads.Workload, []formats.Kind, []int) {
 	return ws, formats.Core(), []int{8, 16}
 }
 
-// TestSweepStreamMatchesSweep: the concatenated stream must equal the
-// batch slab exactly — same order, same values — on a cold engine, and
-// again on a warm one.
+// TestSweepStreamMatchesSweep: the concatenated result stream must equal
+// the concatenated groups exactly — same order, same values — on a cold
+// engine, and again on a warm one.
 func TestSweepStreamMatchesSweep(t *testing.T) {
 	ws, kinds, ps := streamSuite()
-	want, err := New().Sweep(ws, kinds, ps)
+	ref := New()
+	var want []Result
+	err := ref.SweepGroupsExecWith(context.Background(), ref.LocalExecutor(nil), ws, spmvOnly, kinds, ps, func(g SweepGroup) error {
+		want = append(want, g.Results...)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New()
 	for _, pass := range []string{"cold", "warm"} {
-		var got []Result
-		err := e.SweepStream(context.Background(), ws, kinds, ps, func(r Result) error {
-			got = append(got, r)
-			return nil
-		})
+		got, err := sweep(context.Background(), e, nil, ws, spmvOnly, kinds, ps)
 		if err != nil {
 			t.Fatalf("%s stream: %v", pass, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s streamed results diverge from the batch sweep", pass)
+			t.Fatalf("%s streamed results diverge from the grouped sweep", pass)
 		}
 	}
 }
@@ -50,7 +51,8 @@ func TestSweepStreamMatchesSweep(t *testing.T) {
 func TestSweepGroupsOrderAndTiming(t *testing.T) {
 	ws, kinds, ps := streamSuite()
 	var seen []SweepGroup
-	err := New().SweepGroupsWith(context.Background(), nil, ws, kinds, ps, func(g SweepGroup) error {
+	e := New()
+	err := e.SweepGroupsExecWith(context.Background(), e.LocalExecutor(nil), ws, spmvOnly, kinds, ps, func(g SweepGroup) error {
 		seen = append(seen, g)
 		return nil
 	})
@@ -81,7 +83,8 @@ func TestSweepStreamYieldErrorStops(t *testing.T) {
 	ws, kinds, ps := streamSuite()
 	boom := errors.New("consumer gone")
 	calls := 0
-	err := New().SweepStream(context.Background(), ws, kinds, ps, func(Result) error {
+	e := New()
+	err := e.SweepStreamExecWith(context.Background(), e.LocalExecutor(nil), ws, spmvOnly, kinds, ps, func(Result) error {
 		calls++
 		return boom
 	})
@@ -105,7 +108,7 @@ func TestSweepCancelMidWarmup(t *testing.T) {
 	ps := []int{8, 16, 32}
 
 	start := time.Now()
-	if _, err := New().Sweep(ws, kinds, ps); err != nil {
+	if _, err := sweep(context.Background(), New(), nil, ws, spmvOnly, kinds, ps); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)
@@ -116,7 +119,7 @@ func TestSweepCancelMidWarmup(t *testing.T) {
 		cancel()
 	}()
 	start = time.Now()
-	_, err := New().SweepWith(ctx, nil, ws, kinds, ps)
+	_, err := sweep(ctx, New(), nil, ws, spmvOnly, kinds, ps)
 	canceled := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -131,7 +134,7 @@ func TestSweepWithPreCanceledContext(t *testing.T) {
 	ws, kinds, ps := streamSuite()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := New().SweepWith(ctx, nil, ws, kinds, ps); !errors.Is(err, context.Canceled) {
+	if _, err := sweep(ctx, New(), nil, ws, spmvOnly, kinds, ps); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,11 +1,38 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"copernicus/internal/backend"
 	"copernicus/internal/formats"
+	"copernicus/internal/matrix"
+	"copernicus/internal/scenario"
 	"copernicus/internal/workloads"
 )
+
+// spmvOnly is the single-kernel axis: one SpMV per point.
+var spmvOnly = []scenario.Spec{scenario.Default()}
+
+// sweep collects a whole (workload × kernel × format × p) slab from the
+// engine's local executor under backend b (nil selects analytic).
+func sweep(ctx context.Context, e *Engine, b backend.Backend, ws []workloads.Workload, specs []scenario.Spec, kinds []formats.Kind, ps []int) ([]Result, error) {
+	var out []Result
+	err := e.SweepStreamExecWith(ctx, e.LocalExecutor(b), ws, specs, kinds, ps, func(r Result) error {
+		out = append(out, r)
+		return nil
+	})
+	return out, err
+}
+
+// characterize runs one (matrix, format, p) SpMV point under backend b.
+func characterize(e *Engine, b backend.Backend, name string, m *matrix.CSR, k formats.Kind, p int) (Result, error) {
+	rs, err := e.SweepFormatsKernelWith(context.Background(), b, name, m, scenario.Default(), p, []formats.Kind{k})
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
 
 func sweepInputs() ([]workloads.Workload, []formats.Kind, []int) {
 	c := workloads.Config{Scale: 128, RandomDim: 128, BandDim: 128, Seed: 0xC0FE}
@@ -20,7 +47,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 
 	serial := New()
 	serial.SetWorkers(1)
-	want, err := serial.Sweep(ws, kinds, ps)
+	want, err := sweep(context.Background(), serial, nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +55,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, 4, 7} {
 		par := New()
 		par.SetWorkers(workers)
-		got, err := par.Sweep(ws, kinds, ps)
+		got, err := sweep(context.Background(), par, nil, ws, spmvOnly, kinds, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,11 +75,11 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 func TestSweepRepeatDeterministic(t *testing.T) {
 	ws, kinds, ps := sweepInputs()
 	e := New()
-	cold, err := e.Sweep(ws, kinds, ps)
+	cold, err := sweep(context.Background(), e, nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.Sweep(ws, kinds, ps)
+	warm, err := sweep(context.Background(), e, nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +95,7 @@ func TestSweepRepeatDeterministic(t *testing.T) {
 func TestSweepOrdering(t *testing.T) {
 	ws, kinds, ps := sweepInputs()
 	e := New()
-	rs, err := e.Sweep(ws, kinds, ps)
+	rs, err := sweep(context.Background(), e, nil, ws, spmvOnly, kinds, ps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // ErrUnknownFormat is wrapped by every cycle-model error arising from a
 // format Kind the model has no equations for. It reaches callers through
-// Plan, Characterize and Sweep instead of a panic, so a service front-end
+// Plan and every engine sweep instead of a panic, so a service front-end
 // can map it to a client error rather than losing the goroutine.
 var ErrUnknownFormat = errors.New("hlsim: unknown format kind")
 

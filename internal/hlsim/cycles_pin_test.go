@@ -125,7 +125,7 @@ func (fakeEncoded) Kind() formats.Kind { return formats.Kind(formats.NumKinds + 
 
 // TestUnknownKindIsErrorNotPanic: the cycle model refuses unmodelled
 // kinds with ErrUnknownFormat instead of panicking (the error is plumbed
-// through Characterize/Sweep; services map it to a client fault).
+// through every engine sweep; services map it to a client fault).
 func TestUnknownKindIsErrorNotPanic(t *testing.T) {
 	cfg := Default()
 	enc := fakeEncoded{formats.Encode(formats.CSR, pinTile())}

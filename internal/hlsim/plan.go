@@ -287,7 +287,7 @@ func (pl *Plan) ensureRows() {
 // leader guard, so distinct formats warm concurrently. It does not run
 // the decode cross-check; see verify. A Kind outside the implemented
 // range is an ErrUnknownFormat error, not a panic, so it propagates
-// through Characterize/Sweep to callers (and services) as a client fault.
+// through every engine sweep to callers (and services) as a client fault.
 //
 // Cancellation discipline: a canceled ctx aborts the warmup between
 // tile-encode chunks and returns ctx.Err(). If the canceled caller was

@@ -63,10 +63,11 @@ func Fig9(o *Options) (Table, error) {
 		for _, p := range workloads.PartitionSizes {
 			for i, d := range workloads.RandomDensities {
 				m := gen.Random(dim, d, o.WL.Seed+uint64(900+i))
-				r, err := o.Engine.Characterize(fmt.Sprintf("rnd%g", d), m, k, p)
+				rs, err := o.sweep([]workloads.Workload{{ID: fmt.Sprintf("rnd%g", d), M: m}}, []formats.Kind{k}, []int{p})
 				if err != nil {
 					return Table{}, err
 				}
+				r := rs[0]
 				t.Rows = append(t.Rows, []string{
 					k.String(), fmt.Sprintf("%d", p), fmt.Sprintf("%g", d),
 					fmt.Sprintf("%.3e", r.Seconds),

@@ -49,7 +49,7 @@ func Ext1(o *Options) (Table, error) {
 		t.Header = append(t.Header, k.String())
 	}
 	for _, suite := range SuiteNames {
-		rs, err := o.Engine.Sweep(o.suite(suite), formats.All(), []int{16})
+		rs, err := o.sweep(o.suite(suite), formats.All(), []int{16})
 		if err != nil {
 			return Table{}, err
 		}
@@ -81,7 +81,7 @@ func Ext2(o *Options) (Table, error) {
 		t.Header = append(t.Header, k.String())
 	}
 	for _, suite := range SuiteNames {
-		rs, err := o.Engine.Sweep(o.suite(suite), formats.All(), []int{16})
+		rs, err := o.sweep(o.suite(suite), formats.All(), []int{16})
 		if err != nil {
 			return Table{}, err
 		}
@@ -381,7 +381,7 @@ func Ext9(o *Options) (Table, error) {
 		return rs[bi].Format, margin
 	}
 	for _, w := range ws {
-		spmv, err := o.Engine.SweepFormats(w.ID, w.M, 16, formats.Sparse())
+		spmv, err := o.Engine.SweepFormatsKernelWith(context.Background(), nil, w.ID, w.M, scenario.Default(), 16, formats.Sparse())
 		if err != nil {
 			return Table{}, err
 		}

@@ -11,12 +11,14 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"copernicus/internal/core"
 	"copernicus/internal/formats"
+	"copernicus/internal/scenario"
 	"copernicus/internal/workloads"
 )
 
@@ -189,12 +191,28 @@ func (o *Options) results(suite string, p int) ([]core.Result, error) {
 	if rs, ok := o.cache[key]; ok {
 		return rs, nil
 	}
-	rs, err := o.Engine.Sweep(o.suite(suite), formats.Core(), []int{p})
+	rs, err := o.sweep(o.suite(suite), formats.Core(), []int{p})
 	if err != nil {
 		return nil, err
 	}
 	o.cache[key] = rs
 	return rs, nil
+}
+
+// sweep characterizes every workload × format × partition size point for
+// one SpMV under the analytic model, in the engine's deterministic
+// workload-major order.
+func (o *Options) sweep(ws []workloads.Workload, kinds []formats.Kind, ps []int) ([]core.Result, error) {
+	out := make([]core.Result, 0, len(ws)*len(kinds)*len(ps))
+	err := o.Engine.SweepStreamExecWith(context.Background(), o.Engine.LocalExecutor(nil), ws,
+		[]scenario.Spec{scenario.Default()}, kinds, ps, func(r core.Result) error {
+			out = append(out, r)
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // byFormat indexes results of one workload sweep by format.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"copernicus/internal/cluster"
+	"copernicus/internal/core"
 	"copernicus/internal/faults"
 	"copernicus/internal/scenario"
 	"copernicus/internal/wire"
@@ -120,7 +121,7 @@ const parityGet = "/v1/sweep?matrix=DW&formats=CSR,ELL,SELL-C-sig&partitions=8,1
 
 // A clustered sweep must be byte-identical to the single-node one — as
 // a JSON slab (cold and warm), a columnar slab, an NDJSON stream, and
-// against the engine's own SweepKernelsWith output.
+// against the engine's own sweep output.
 func TestClusterSweepParity(t *testing.T) {
 	single, singleTS := newTestServer(t)
 	_, _, w1 := newWorker(t)
@@ -164,7 +165,7 @@ func TestClusterSweepParity(t *testing.T) {
 	}
 
 	// And against the engine primitive itself: the columnar body is
-	// exactly wire.Encode of SweepKernelsWith's slab.
+	// exactly wire.Encode of the engine's slab.
 	_, m, ok := single.Registry().Lookup("DW")
 	if !ok {
 		t.Fatal("DW not registered")
@@ -173,13 +174,19 @@ func TestClusterSweepParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := single.Engine().SweepKernelsWith(context.Background(), nil,
-		[]workloads.Workload{{ID: "DW", M: m}}, []scenario.Spec{scenario.Default()}, kinds, []int{8, 16, 32})
+	var rows []core.Result
+	eng := single.Engine()
+	err = eng.SweepStreamExecWith(context.Background(), eng.LocalExecutor(nil),
+		[]workloads.Workload{{ID: "DW", M: m}}, []scenario.Spec{scenario.Default()}, kinds, []int{8, 16, 32},
+		func(r core.Result) error {
+			rows = append(rows, r)
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(colC, wire.Encode(rows)) {
-		t.Fatal("clustered columnar slab != wire.Encode(SweepKernelsWith slab)")
+		t.Fatal("clustered columnar slab != wire.Encode(engine sweep slab)")
 	}
 
 	// The groups really were dispatched (3 p-values × 1 kernel = 3).
