@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -374,10 +375,10 @@ func (s *Server) sweepEpilogue(info MatrixInfo, m *matrix.CSR) error {
 	return nil
 }
 
-// runSweep computes (or returns cached) results for one matrix across
-// kinds × ps under the given backend, singleflight-deduplicated on the
-// canonical key (which embeds the backend ID, isolating each backend's
-// cache entries). The caller's ctx governs how long it *waits*; the
+// runSweep computes (or returns cached) results for one resolved point —
+// its matrix across kinds × ps under its backend and kernel —
+// singleflight-deduplicated on the canonical key (which embeds the
+// backend ID, isolating each backend's cache entries). The caller's ctx governs how long it *waits*; the
 // compute itself runs under the cache's detached, ref-counted context,
 // so it is aborted only when every request interested in the key —
 // leader and waiters alike — has disconnected.
@@ -386,13 +387,14 @@ func (s *Server) sweepEpilogue(info MatrixInfo, m *matrix.CSR) error {
 // *leader's* compute produces it — the streaming path's incremental
 // feed. A caller that attached to another leader's flight (or hit the
 // cache) gets cached=true and must replay the returned slab itself.
-func (s *Server) runSweep(ctx context.Context, info MatrixInfo, exec core.GroupExecutor, b backend.Backend, sc scenario.Spec, kinds []formats.Kind, ps []int, onRow func(core.Result)) (*sweepEntry, bool, error) {
+func (s *Server) runSweep(ctx context.Context, pt sweepPoint, exec core.GroupExecutor, onRow func(core.Result)) (*sweepEntry, bool, error) {
+	info, b := pt.info, pt.b
 	_, m, ok := s.reg.Lookup(info.ID)
 	if !ok {
 		return nil, false, fmt.Errorf("matrix %q: %w", info.ID, errMatrixDeleted)
 	}
-	v, cached, err := s.cache.Do(ctx, sweepKey(info.ID, b, sc, kinds, ps), func(fctx context.Context) (any, error) {
-		rs, err := s.computeSweep(fctx, info, m, exec, sc, kinds, ps, onRow)
+	v, cached, err := s.cache.Do(ctx, pt.key(), func(fctx context.Context) (any, error) {
+		rs, err := s.computeSweep(fctx, info, m, exec, pt.sc, pt.kinds, pt.ps, onRow)
 		if err != nil {
 			return nil, err
 		}
@@ -527,7 +529,9 @@ func (s *Server) handleDeleteMatrix(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// sweepRequest is the POST /v1/sweep body. Backend selects the costing
+// sweepRequest is the POST /v1/sweep (and /v1/jobs/sweep) body, and the
+// shape every sweep-shaped request — both /v1/sweep forms, characterize,
+// advise and job submit — is resolved from. Backend selects the costing
 // backend ("analytic" cycle model by default, "native" for measured
 // host-CPU wall time); Threads sets the native SpMV fan-out
 // (native-only, 1..GOMAXPROCS, default 1); Kernel selects the kernel
@@ -540,6 +544,80 @@ type sweepRequest struct {
 	Backend    string   `json:"backend,omitempty"`
 	Threads    int      `json:"threads,omitempty"`
 	Kernel     string   `json:"kernel,omitempty"`
+
+	// Set by the characterize and advise query forms only, never decoded
+	// from a body. kinds fixes the format list (advise ranks the sparse
+	// formats) in place of Formats. badP, badObjective and badThreads hold
+	// a query value that failed to parse, reported at that parameter's
+	// place in resolve's check order.
+	kinds                          []formats.Kind
+	badP, badObjective, badThreads error
+}
+
+// sweepPoint is a resolved sweepRequest: the registered matrix and the
+// validated formats, partition sizes, backend and kernel.
+type sweepPoint struct {
+	info  MatrixInfo
+	m     *matrix.CSR
+	kinds []formats.Kind
+	ps    []int
+	b     backend.Backend
+	sc    scenario.Spec
+}
+
+// key is the point's sweep cache key.
+func (pt sweepPoint) key() string { return sweepKey(pt.info.ID, pt.b, pt.sc, pt.kinds, pt.ps) }
+
+// resolve validates a sweep-shaped request in one fixed order — matrix,
+// formats, p, partitions, objective, threads and backend, kernel — so a
+// request with several bad parameters always reports the same, first
+// one. It returns the resolved point, or an HTTP status and the error
+// message; the status is http.StatusOK exactly when the point resolved.
+func (s *Server) resolve(req *sweepRequest) (sweepPoint, int, string) {
+	info, m, ok := s.reg.Lookup(req.Matrix)
+	if !ok {
+		return sweepPoint{}, http.StatusNotFound, fmt.Sprintf("unknown matrix %q", req.Matrix)
+	}
+	pt := sweepPoint{info: info, m: m, kinds: req.kinds}
+	var err error
+	if pt.kinds == nil {
+		pt.kinds, err = parseKinds(req.Formats)
+	}
+	if err == nil {
+		err = req.badP
+	}
+	if err == nil {
+		pt.ps, err = parsePartitions(req.Partitions)
+	}
+	if err == nil {
+		err = req.badObjective
+	}
+	if err == nil {
+		err = req.badThreads
+	}
+	if err == nil {
+		pt.b, err = resolveBackend(req.Backend, req.Threads)
+	}
+	if err == nil {
+		pt.sc, err = parseKernel(req.Kernel)
+	}
+	if err != nil {
+		return sweepPoint{}, http.StatusBadRequest, err.Error()
+	}
+	return pt, http.StatusOK, ""
+}
+
+// pointRequest is the sweepRequest of a one-point query form
+// (characterize, advise): ?matrix=ID&p=16&backend=&threads=&kernel=.
+func pointRequest(q url.Values) sweepRequest {
+	req := sweepRequest{Matrix: q.Get("matrix"), Backend: q.Get("backend"), Kernel: q.Get("kernel")}
+	p, err := queryInt(q.Get("p"), 16)
+	if err != nil {
+		req.badP = fmt.Errorf("bad p: %v", err)
+	}
+	req.Partitions = []int{p}
+	req.Threads, req.badThreads = queryThreads(q.Get("threads"))
+	return req
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -554,7 +632,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing \"matrix\"")
 		return
 	}
-	s.serveSweep(w, r, req.Matrix, req.Formats, req.Partitions, req.Backend, req.Threads, req.Kernel)
+	s.serveSweep(w, r, &req)
 }
 
 // handleSweepGet is the query-parameter form of /v1/sweep:
@@ -566,13 +644,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // share entries and cannot drift apart.
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var names []string
+	req := sweepRequest{Matrix: q.Get("matrix"), Backend: q.Get("backend"), Kernel: q.Get("kernel")}
 	if raw := q.Get("formats"); raw != "" {
 		for _, tok := range strings.Split(raw, ",") {
-			names = append(names, strings.TrimSpace(tok))
+			req.Formats = append(req.Formats, strings.TrimSpace(tok))
 		}
 	}
-	var ps []int
 	if raw := q.Get("partitions"); raw != "" {
 		for _, tok := range strings.Split(raw, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(tok))
@@ -580,46 +657,25 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusBadRequest, "bad partition size %q", tok)
 				return
 			}
-			ps = append(ps, p)
+			req.Partitions = append(req.Partitions, p)
 		}
 	}
-	threads, err := queryThreads(q.Get("threads"))
-	if err != nil {
+	var err error
+	if req.Threads, err = queryThreads(q.Get("threads")); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.serveSweep(w, r, q.Get("matrix"), names, ps, q.Get("backend"), threads, q.Get("kernel"))
+	s.serveSweep(w, r, &req)
 }
 
-// serveSweep is the shared tail of both /v1/sweep forms: validate the
-// matrix, format, partition, backend, and kernel selections, then answer
-// either as one JSON slab (the default) or, when the request prefers
-// application/x-ndjson, as a row-per-line stream flushed as each
-// (workload, kernel, p) group completes.
-func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, matrixID string, names []string, partitions []int, backendName string, threads int, kernel string) {
-	info, _, ok := s.reg.Lookup(matrixID)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown matrix %q", matrixID)
-		return
-	}
-	kinds, err := parseKinds(names)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ps, err := parsePartitions(partitions)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b, err := resolveBackend(backendName, threads)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc, err := parseKernel(kernel)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+// serveSweep is the shared tail of both /v1/sweep forms: resolve the
+// request, then answer either as one JSON slab (the default) or, when the
+// request prefers application/x-ndjson, as a row-per-line stream flushed
+// as each (workload, kernel, p) group completes.
+func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req *sweepRequest) {
+	pt, status, msg := s.resolve(req)
+	if status != http.StatusOK {
+		writeErr(w, status, "%s", msg)
 		return
 	}
 	// cache=only answers from the sweep LRU or 404s — never computes.
@@ -629,23 +685,13 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, matrixID str
 	switch mode := r.URL.Query().Get("cache"); mode {
 	case "":
 	case "only":
-		v, ok := s.cache.Get(sweepKey(info.ID, b, sc, kinds, ps))
+		v, ok := s.cache.Get(pt.key())
 		if !ok {
 			writeErr(w, http.StatusNotFound, "cache miss")
 			return
 		}
-		s.noteBackend(b.ID(), true)
-		entry := v.(*sweepEntry)
-		if wantsColumnar(r) {
-			s.writeColumnar(w, entry, true, func(h http.Header) {
-				h.Set(headerMatrix, info.ID)
-			})
-			return
-		}
-		body := s.body(entry, bodyJSONSweep, &s.encJSON, func() []byte {
-			return marshalJSONBody(sweepEnvelope(info, true, entry.results))
-		})
-		s.writeBody(w, "application/json", &s.encJSON, body, nil)
+		s.noteBackend(pt.b.ID(), true)
+		s.writeSweep(w, r, pt.info, v.(*sweepEntry), true, bodyJSONSweep)
 		return
 	default:
 		writeErr(w, http.StatusBadRequest, "bad cache mode %q (want \"only\")", mode)
@@ -653,38 +699,51 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, matrixID str
 	}
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	exec := s.execFor(b, clusterInternal(r))
+	exec := s.execFor(pt.b, clusterInternal(r))
 	if wantsNDJSON(r) {
 		// Streaming keeps precedence over the columnar batch body: a
 		// client listing both asked for incremental delivery.
-		s.streamSweep(ctx, w, info, exec, b, sc, kinds, ps)
+		s.streamSweep(ctx, w, pt, exec)
 		return
 	}
-	entry, cached, err := s.runSweep(ctx, info, exec, b, sc, kinds, ps, nil)
+	entry, cached, err := s.runSweep(ctx, pt, exec, nil)
 	if err != nil {
 		writeErr(w, sweepStatus(err), "sweep: %v", err)
 		return
 	}
+	s.writeSweep(w, r, pt.info, entry, cached, bodyJSONSweep)
+}
+
+// writeSweep answers with a cache entry as the columnar slab when the
+// request negotiated it, else as the JSON envelope of kind k (the sweep
+// "results" list or the characterize "result" object). A warm hit is one
+// write of the entry's immutable pre-encoded body — no marshal, no
+// per-request allocation; the body embeds cached=true, which every warm
+// response carries by definition. A cold response is the leader's
+// one-and-only cached=false body, which can never be reused, so it is
+// marshalled straight out (byte-identical to the warm encoder) without
+// being stored.
+func (s *Server) writeSweep(w http.ResponseWriter, r *http.Request, info MatrixInfo, entry *sweepEntry, cached bool, k bodyKind) {
 	if wantsColumnar(r) {
 		s.writeColumnar(w, entry, cached, func(h http.Header) {
 			h.Set(headerMatrix, info.ID)
 		})
 		return
 	}
-	if cached {
-		// Warm hit: one write of the entry's immutable pre-encoded body —
-		// no marshal, no per-request allocation. The body embeds
-		// cached=true, which every warm response carries by definition.
-		body := s.body(entry, bodyJSONSweep, &s.encJSON, func() []byte {
-			return marshalJSONBody(sweepEnvelope(info, true, entry.results))
-		})
-		s.writeBody(w, "application/json", &s.encJSON, body, nil)
+	envelope := func(cached bool) any {
+		if k == bodyJSONCharacterize {
+			return characterizeEnvelope(info, cached, entry.results[0])
+		}
+		return sweepEnvelope(info, cached, entry.results)
+	}
+	if !cached {
+		s.writeJSONCounted(w, envelope(false))
 		return
 	}
-	// Cold: the leader's one-and-only cached=false response; the body
-	// can never be reused, so marshal straight out (byte-identical to
-	// the warm encoder) without storing it.
-	s.writeJSONCounted(w, sweepEnvelope(info, false, entry.results))
+	body := s.body(entry, k, &s.encJSON, func() []byte {
+		return marshalJSONBody(envelope(true))
+	})
+	s.writeBody(w, "application/json", &s.encJSON, body, nil)
 }
 
 // writeColumnar answers with an entry's columnar slab — encoded once
@@ -732,7 +791,7 @@ func wantsNDJSON(r *http.Request) bool {
 // it are still a valid prefix of the batch result set; a failure before
 // any row was written is reported with a proper HTTP status instead,
 // exactly like the batch form.
-func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, info MatrixInfo, exec core.GroupExecutor, b backend.Backend, sc scenario.Spec, kinds []formats.Kind, ps []int) {
+func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, pt sweepPoint, exec core.GroupExecutor) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	s.encNDJSON.responses.Add(1)
@@ -774,16 +833,15 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, info Ma
 		}
 	}
 
-	key := sweepKey(info.ID, b, sc, kinds, ps)
-	if v, ok := s.cache.Get(key); ok {
-		s.noteBackend(b.ID(), true)
+	if v, ok := s.cache.Get(pt.key()); ok {
+		s.noteBackend(pt.b.ID(), true)
 		for _, r := range v.(*sweepEntry).results {
 			emit(r)
 		}
 		return
 	}
 
-	entry, cached, err := s.runSweep(ctx, info, exec, b, sc, kinds, ps, emit)
+	entry, cached, err := s.runSweep(ctx, pt, exec, emit)
 	if err != nil {
 		if emitted == 0 {
 			// Nothing on the wire yet: a real status line (404/400/503)
@@ -810,69 +868,28 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, info Ma
 // spec).
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	info, _, ok := s.reg.Lookup(q.Get("matrix"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown matrix %q", q.Get("matrix"))
-		return
-	}
+	req := pointRequest(q)
 	name := q.Get("format")
 	if name == "" {
 		name = "CSR"
 	}
-	kinds, err := parseKinds([]string{name})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	p, err := queryInt(q.Get("p"), 16)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad p: %v", err)
-		return
-	}
-	ps, err := parsePartitions([]int{p})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	threads, err := queryThreads(q.Get("threads"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b, err := resolveBackend(q.Get("backend"), threads)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc, err := parseKernel(q.Get("kernel"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	req.Formats = []string{name}
+	pt, status, msg := s.resolve(&req)
+	if status != http.StatusOK {
+		writeErr(w, status, "%s", msg)
 		return
 	}
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	entry, cached, err := s.runSweep(ctx, info, s.execFor(b, clusterInternal(r)), b, sc, kinds, ps, nil)
+	entry, cached, err := s.runSweep(ctx, pt, s.execFor(pt.b, clusterInternal(r)), nil)
 	if err != nil {
 		writeErr(w, sweepStatus(err), "characterize: %v", err)
 		return
 	}
-	if wantsColumnar(r) {
-		s.writeColumnar(w, entry, cached, func(h http.Header) {
-			h.Set(headerMatrix, info.ID)
-		})
-		return
-	}
-	if cached {
-		// Characterize shares cache keys with one-point sweeps but
-		// answers a different envelope — a distinct body slot keeps the
-		// two warm bodies from colliding on one entry.
-		body := s.body(entry, bodyJSONCharacterize, &s.encJSON, func() []byte {
-			return marshalJSONBody(characterizeEnvelope(info, true, entry.results[0]))
-		})
-		s.writeBody(w, "application/json", &s.encJSON, body, nil)
-		return
-	}
-	s.writeJSONCounted(w, characterizeEnvelope(info, false, entry.results[0]))
+	// Characterize shares cache keys with one-point sweeps but answers a
+	// different envelope — a distinct body slot keeps the two warm bodies
+	// from colliding on one entry.
+	s.writeSweep(w, r, pt.info, entry, cached, bodyJSONCharacterize)
 }
 
 // handleAdvise recommends the best format for a (matrix, p) point:
@@ -885,21 +902,8 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 // concurrent advise calls share one engine run.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	info, m, ok := s.reg.Lookup(q.Get("matrix"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown matrix %q", q.Get("matrix"))
-		return
-	}
-	p, err := queryInt(q.Get("p"), 16)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad p: %v", err)
-		return
-	}
-	ps, err := parsePartitions([]int{p})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	req := pointRequest(q)
+	req.kinds = formats.Sparse()
 	var obj core.Objective
 	switch name := q.Get("objective"); name {
 	case "", "balanced":
@@ -907,28 +911,17 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	case "latency":
 		obj = core.LatencyObjective()
 	default:
-		writeErr(w, http.StatusBadRequest, "unknown objective %q (want balanced or latency)", name)
+		req.badObjective = fmt.Errorf("unknown objective %q (want balanced or latency)", name)
+	}
+	pt, status, msg := s.resolve(&req)
+	if status != http.StatusOK {
+		writeErr(w, status, "%s", msg)
 		return
 	}
-
-	threads, err := queryThreads(q.Get("threads"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b, err := resolveBackend(q.Get("backend"), threads)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc, err := parseKernel(q.Get("kernel"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	info, b, sc := pt.info, pt.b, pt.sc
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	entry, cached, err := s.runSweep(ctx, info, s.execFor(b, clusterInternal(r)), b, sc, formats.Sparse(), ps, nil)
+	entry, cached, err := s.runSweep(ctx, pt, s.execFor(b, clusterInternal(r)), nil)
 	if err != nil {
 		writeErr(w, sweepStatus(err), "advise: %v", err)
 		return
@@ -942,7 +935,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	for i, k := range rec.Ranking {
 		ranking[i] = k.String()
 	}
-	class := core.Classify(m)
+	class := core.Classify(pt.m)
 	static, _, why := core.StaticAdvice(class)
 	if wantsColumnar(r) {
 		// The advice's result rows as the raw columnar slab — the fattest
@@ -965,7 +958,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"matrix":        info,
-		"p":             p,
+		"p":             pt.ps[0],
 		"backend":       b.ID(),
 		"kernel":        sc.String(),
 		"cached":        cached,

@@ -9,11 +9,8 @@ import (
 	"strconv"
 	"time"
 
-	"copernicus/internal/backend"
 	"copernicus/internal/core"
-	"copernicus/internal/formats"
 	"copernicus/internal/jobs"
-	"copernicus/internal/matrix"
 	"copernicus/internal/scenario"
 	"copernicus/internal/wire"
 	"copernicus/internal/workloads"
@@ -34,36 +31,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "parse request: %v", err)
 		return
 	}
-	info, m, ok := s.reg.Lookup(req.Matrix)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown matrix %q", req.Matrix)
+	pt, status, msg := s.resolve(&req)
+	if status != http.StatusOK {
+		writeErr(w, status, "%s", msg)
 		return
 	}
-	kinds, err := parseKinds(req.Formats)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ps, err := parsePartitions(req.Partitions)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	b, err := resolveBackend(req.Backend, req.Threads)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc, err := parseKernel(req.Kernel)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	key := sweepKey(info.ID, b, sc, kinds, ps)
-	total := len(kinds) * len(ps)
-	task := s.sweepTask(info, m, b, sc, kinds, ps, key)
-	ji, err := s.jobs.Submit(fmt.Sprintf("sweep %s (%s)", info.ID, b.ID()), total, task)
+	task := s.sweepTask(pt)
+	ji, err := s.jobs.Submit(fmt.Sprintf("sweep %s (%s)", pt.info.ID, pt.b.ID()), len(pt.kinds)*len(pt.ps), task)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		writeErr(w, http.StatusTooManyRequests, "job queue full; retry later")
@@ -84,14 +58,15 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // (the in-flight re-check lives in computeSweep-equivalent code here
 // because the job needs group granularity for timings; the post-insert
 // half is the shared sweepEpilogue).
-func (s *Server) sweepTask(info MatrixInfo, m *matrix.CSR, b backend.Backend, sc scenario.Spec, kinds []formats.Kind, ps []int, key string) jobs.Task {
+func (s *Server) sweepTask(pt sweepPoint) jobs.Task {
+	info, m, b := pt.info, pt.m, pt.b
 	return func(ctx context.Context, report func(int, jobs.GroupTiming)) (any, error) {
 		ws := []workloads.Workload{{ID: info.ID, M: m}}
-		collected := make([]core.Result, 0, len(kinds)*len(ps))
+		collected := make([]core.Result, 0, len(pt.kinds)*len(pt.ps))
 		// Jobs fan out like synchronous sweeps when this server fronts a
 		// cluster: the job API is never used for coordinator-internal
 		// dispatch, so there is no loop to guard against here.
-		err := s.engine.SweepGroupsExecWith(ctx, s.execFor(b, false), ws, []scenario.Spec{sc}, kinds, ps, func(g core.SweepGroup) error {
+		err := s.engine.SweepGroupsExecWith(ctx, s.execFor(b, false), ws, []scenario.Spec{pt.sc}, pt.kinds, pt.ps, func(g core.SweepGroup) error {
 			collected = append(collected, g.Results...)
 			report(len(g.Results), jobs.GroupTiming{
 				Workload: g.Workload,
@@ -108,7 +83,7 @@ func (s *Server) sweepTask(info MatrixInfo, m *matrix.CSR, b backend.Backend, sc
 			s.engine.DropPlansFor(m)
 			return nil, fmt.Errorf("matrix %q: %w", info.ID, errMatrixDeleted)
 		}
-		s.cache.Add(key, &sweepEntry{results: collected})
+		s.cache.Add(pt.key(), &sweepEntry{results: collected})
 		s.noteBackend(b.ID(), false)
 		if err := s.sweepEpilogue(info, m); err != nil {
 			return nil, err
