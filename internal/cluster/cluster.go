@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,11 +134,19 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The coordinator owns its transport: http.DefaultTransport keeps 2
+	// idle connections per host, so under load most worker round trips
+	// closed a connection and dialed a new one. One sweep dispatches up to
+	// its pool width (GOMAXPROCS by default) groups at once, and several
+	// sweeps run concurrently, so keep four pools' worth of idle
+	// connections per worker; MaxIdleConns still caps the total.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 4 * runtime.GOMAXPROCS(0)
 	c := &Coordinator{
 		cfg:     cfg,
 		ring:    ring,
 		workers: make(map[string]*worker, len(cfg.Workers)),
-		hc:      &http.Client{Timeout: cfg.Timeout},
+		hc:      &http.Client{Timeout: cfg.Timeout, Transport: tr},
 	}
 	for _, name := range ring.Workers() {
 		base := name
@@ -188,7 +197,8 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Close stops the prober. Safe to call multiple times and without Start.
+// Close stops the prober and closes the idle worker connections. Safe to
+// call multiple times and without Start.
 func (c *Coordinator) Close() {
 	c.closedMu.Lock()
 	defer c.closedMu.Unlock()
@@ -203,6 +213,7 @@ func (c *Coordinator) Close() {
 		c.stop()
 		<-c.stopped
 	}
+	c.hc.CloseIdleConnections()
 }
 
 // ProbeOnce runs one synchronous /v1/readyz round over the fleet,
