@@ -134,12 +134,13 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The coordinator owns its transport: http.DefaultTransport keeps 2
-	// idle connections per host, so under load most worker round trips
-	// closed a connection and dialed a new one. One sweep dispatches up to
-	// its pool width (GOMAXPROCS by default) groups at once, and several
-	// sweeps run concurrently, so keep four pools' worth of idle
-	// connections per worker; MaxIdleConns still caps the total.
+	// The coordinator owns its transport: http.DefaultTransport keeps
+	// only 2 idle connections per host, and under load every connection
+	// beyond those is closed after its round trip and redialed for the
+	// next. One sweep dispatches up to its pool width (GOMAXPROCS by
+	// default) groups at once and several sweeps run concurrently, so
+	// keep four pools' worth of idle connections per worker;
+	// MaxIdleConns still caps the total.
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = 4 * runtime.GOMAXPROCS(0)
 	c := &Coordinator{

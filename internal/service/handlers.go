@@ -544,12 +544,15 @@ type sweepRequest struct {
 	Backend    string   `json:"backend,omitempty"`
 	Threads    int      `json:"threads,omitempty"`
 	Kernel     string   `json:"kernel,omitempty"`
+}
 
-	// Set by the characterize and advise query forms only, never decoded
-	// from a body. kinds fixes the format list (advise ranks the sparse
-	// formats) in place of Formats. badP, badObjective and badThreads hold
-	// a query value that failed to parse, reported at that parameter's
-	// place in resolve's check order.
+// pointQuery is what the one-point query forms (characterize, advise) add
+// to a sweepRequest: kinds fixes the format list in place of Formats
+// (advise ranks the sparse formats), and badP, badObjective and
+// badThreads hold a query value that failed to parse, which resolve
+// reports at that parameter's place in the check order. The zero value
+// adds nothing.
+type pointQuery struct {
 	kinds                          []formats.Kind
 	badP, badObjective, badThreads error
 }
@@ -568,32 +571,32 @@ type sweepPoint struct {
 // key is the point's sweep cache key.
 func (pt sweepPoint) key() string { return sweepKey(pt.info.ID, pt.b, pt.sc, pt.kinds, pt.ps) }
 
-// resolve validates a sweep-shaped request in one fixed order — matrix,
-// formats, p, partitions, objective, threads and backend, kernel — so a
-// request with several bad parameters always reports the same, first
-// one. It returns the resolved point, or an HTTP status and the error
+// resolve validates a sweep-shaped request, plus the one-point query
+// extras pq, in one fixed order — matrix, formats, p, partitions,
+// objective, threads and backend, kernel — so a request with several bad
+// parameters always reports the same, first one. It returns the resolved point, or an HTTP status and the error
 // message; the status is http.StatusOK exactly when the point resolved.
-func (s *Server) resolve(req *sweepRequest) (sweepPoint, int, string) {
+func (s *Server) resolve(req *sweepRequest, pq pointQuery) (sweepPoint, int, string) {
 	info, m, ok := s.reg.Lookup(req.Matrix)
 	if !ok {
 		return sweepPoint{}, http.StatusNotFound, fmt.Sprintf("unknown matrix %q", req.Matrix)
 	}
-	pt := sweepPoint{info: info, m: m, kinds: req.kinds}
+	pt := sweepPoint{info: info, m: m, kinds: pq.kinds}
 	var err error
 	if pt.kinds == nil {
 		pt.kinds, err = parseKinds(req.Formats)
 	}
 	if err == nil {
-		err = req.badP
+		err = pq.badP
 	}
 	if err == nil {
 		pt.ps, err = parsePartitions(req.Partitions)
 	}
 	if err == nil {
-		err = req.badObjective
+		err = pq.badObjective
 	}
 	if err == nil {
-		err = req.badThreads
+		err = pq.badThreads
 	}
 	if err == nil {
 		pt.b, err = resolveBackend(req.Backend, req.Threads)
@@ -607,17 +610,18 @@ func (s *Server) resolve(req *sweepRequest) (sweepPoint, int, string) {
 	return pt, http.StatusOK, ""
 }
 
-// pointRequest is the sweepRequest of a one-point query form
-// (characterize, advise): ?matrix=ID&p=16&backend=&threads=&kernel=.
-func pointRequest(q url.Values) sweepRequest {
+// pointRequest parses the parameters the one-point query forms
+// (characterize, advise) share: ?matrix=ID&p=16&backend=&threads=&kernel=.
+func pointRequest(q url.Values) (sweepRequest, pointQuery) {
 	req := sweepRequest{Matrix: q.Get("matrix"), Backend: q.Get("backend"), Kernel: q.Get("kernel")}
+	var pq pointQuery
 	p, err := queryInt(q.Get("p"), 16)
 	if err != nil {
-		req.badP = fmt.Errorf("bad p: %v", err)
+		pq.badP = fmt.Errorf("bad p: %v", err)
 	}
 	req.Partitions = []int{p}
-	req.Threads, req.badThreads = queryThreads(q.Get("threads"))
-	return req
+	req.Threads, pq.badThreads = queryThreads(q.Get("threads"))
+	return req, pq
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -673,7 +677,7 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 // request prefers application/x-ndjson, as a row-per-line stream flushed
 // as each (workload, kernel, p) group completes.
 func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, req *sweepRequest) {
-	pt, status, msg := s.resolve(req)
+	pt, status, msg := s.resolve(req, pointQuery{})
 	if status != http.StatusOK {
 		writeErr(w, status, "%s", msg)
 		return
@@ -868,13 +872,13 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, pt swee
 // spec).
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	req := pointRequest(q)
+	req, pq := pointRequest(q)
 	name := q.Get("format")
 	if name == "" {
 		name = "CSR"
 	}
 	req.Formats = []string{name}
-	pt, status, msg := s.resolve(&req)
+	pt, status, msg := s.resolve(&req, pq)
 	if status != http.StatusOK {
 		writeErr(w, status, "%s", msg)
 		return
@@ -902,8 +906,8 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 // concurrent advise calls share one engine run.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	req := pointRequest(q)
-	req.kinds = formats.Sparse()
+	req, pq := pointRequest(q)
+	pq.kinds = formats.Sparse()
 	var obj core.Objective
 	switch name := q.Get("objective"); name {
 	case "", "balanced":
@@ -911,9 +915,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	case "latency":
 		obj = core.LatencyObjective()
 	default:
-		req.badObjective = fmt.Errorf("unknown objective %q (want balanced or latency)", name)
+		pq.badObjective = fmt.Errorf("unknown objective %q (want balanced or latency)", name)
 	}
-	pt, status, msg := s.resolve(&req)
+	pt, status, msg := s.resolve(&req, pq)
 	if status != http.StatusOK {
 		writeErr(w, status, "%s", msg)
 		return

@@ -31,7 +31,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "parse request: %v", err)
 		return
 	}
-	pt, status, msg := s.resolve(&req)
+	pt, status, msg := s.resolve(&req, pointQuery{})
 	if status != http.StatusOK {
 		writeErr(w, status, "%s", msg)
 		return
