@@ -192,12 +192,12 @@ type SynthReport = synth.Report
 // Backend costs characterization points: the analytic HLS cycle model
 // (the paper's instrument) or the measured native-CPU backend, which
 // times the warm streaming SpMV on the host. Both evaluate the same
-// encode-once plans — only the costing differs — so the Engine's sweep
-// and recommend methods with a With suffix (SweepFormatsKernelWith,
-// RecommendKernelWith, and LocalExecutor for SweepStreamExecWith and
-// SweepGroupsExecWith) accept a Backend; nil selects the analytic
-// default, and a canceled context aborts the sweep mid-warmup with
-// ctx.Err().
+// encode-once plans — only the costing differs — so the Engine takes a
+// Backend wherever it costs points: LocalExecutor(b) for
+// SweepStreamExecWith and SweepGroupsExecWith, and the b argument of
+// SweepFormatsKernelWith and RecommendKernelWith. nil selects the
+// analytic default, and a canceled context aborts the sweep mid-warmup
+// with ctx.Err().
 type Backend = backend.Backend
 
 // SweepGroup is one completed (workload, kernel, partition size) group of

@@ -378,10 +378,11 @@ func (s *Server) sweepEpilogue(info MatrixInfo, m *matrix.CSR) error {
 // runSweep computes (or returns cached) results for one resolved point —
 // its matrix across kinds × ps under its backend and kernel —
 // singleflight-deduplicated on the canonical key (which embeds the
-// backend ID, isolating each backend's cache entries). The caller's ctx governs how long it *waits*; the
-// compute itself runs under the cache's detached, ref-counted context,
-// so it is aborted only when every request interested in the key —
-// leader and waiters alike — has disconnected.
+// backend ID, isolating each backend's cache entries). The caller's ctx
+// governs how long it *waits*; the compute itself runs under the cache's
+// detached, ref-counted context, so it is aborted only when every
+// request interested in the key — leader and waiters alike — has
+// disconnected.
 //
 // onRow, when non-nil, observes each result as the singleflight
 // *leader's* compute produces it — the streaming path's incremental
@@ -574,8 +575,9 @@ func (pt sweepPoint) key() string { return sweepKey(pt.info.ID, pt.b, pt.sc, pt.
 // resolve validates a sweep-shaped request, plus the one-point query
 // extras pq, in one fixed order — matrix, formats, p, partitions,
 // objective, threads and backend, kernel — so a request with several bad
-// parameters always reports the same, first one. It returns the resolved point, or an HTTP status and the error
-// message; the status is http.StatusOK exactly when the point resolved.
+// parameters always reports the same, first one. It returns the resolved
+// point, or an HTTP status and the error message; the status is
+// http.StatusOK exactly when the point resolved.
 func (s *Server) resolve(req *sweepRequest, pq pointQuery) (sweepPoint, int, string) {
 	info, m, ok := s.reg.Lookup(req.Matrix)
 	if !ok {
