@@ -389,13 +389,12 @@ func (s *Server) sweepEpilogue(info MatrixInfo, m *matrix.CSR) error {
 // feed. A caller that attached to another leader's flight (or hit the
 // cache) gets cached=true and must replay the returned slab itself.
 func (s *Server) runSweep(ctx context.Context, pt sweepPoint, exec core.GroupExecutor, onRow func(core.Result)) (*sweepEntry, bool, error) {
-	info, b := pt.info, pt.b
-	_, m, ok := s.reg.Lookup(info.ID)
+	_, m, ok := s.reg.Lookup(pt.info.ID)
 	if !ok {
-		return nil, false, fmt.Errorf("matrix %q: %w", info.ID, errMatrixDeleted)
+		return nil, false, fmt.Errorf("matrix %q: %w", pt.info.ID, errMatrixDeleted)
 	}
 	v, cached, err := s.cache.Do(ctx, pt.key(), func(fctx context.Context) (any, error) {
-		rs, err := s.computeSweep(fctx, info, m, exec, pt.sc, pt.kinds, pt.ps, onRow)
+		rs, err := s.computeSweep(fctx, pt.info, m, exec, pt.sc, pt.kinds, pt.ps, onRow)
 		if err != nil {
 			return nil, err
 		}
@@ -403,11 +402,11 @@ func (s *Server) runSweep(ctx context.Context, pt sweepPoint, exec core.GroupExe
 		// each content type attach their pre-encoded response body to it.
 		return &sweepEntry{results: rs}, nil
 	})
-	s.noteBackend(b.ID(), cached && err == nil)
+	s.noteBackend(pt.b.ID(), cached && err == nil)
 	if err != nil {
 		return nil, false, err
 	}
-	if err := s.sweepEpilogue(info, m); err != nil {
+	if err := s.sweepEpilogue(pt.info, m); err != nil {
 		return nil, false, err
 	}
 	return v.(*sweepEntry), cached, nil
@@ -617,9 +616,12 @@ func (s *Server) resolve(req *sweepRequest, pq pointQuery) (sweepPoint, int, str
 func pointRequest(q url.Values) (sweepRequest, pointQuery) {
 	req := sweepRequest{Matrix: q.Get("matrix"), Backend: q.Get("backend"), Kernel: q.Get("kernel")}
 	var pq pointQuery
-	p, err := queryInt(q.Get("p"), 16)
-	if err != nil {
-		pq.badP = fmt.Errorf("bad p: %v", err)
+	p := 16
+	if raw := q.Get("p"); raw != "" {
+		var err error
+		if p, err = strconv.Atoi(raw); err != nil {
+			pq.badP = fmt.Errorf("bad p: %v", err)
+		}
 	}
 	req.Partitions = []int{p}
 	req.Threads, pq.badThreads = queryThreads(q.Get("threads"))
@@ -924,10 +926,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "%s", msg)
 		return
 	}
-	info, b, sc := pt.info, pt.b, pt.sc
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	entry, cached, err := s.runSweep(ctx, pt, s.execFor(b, clusterInternal(r)), nil)
+	entry, cached, err := s.runSweep(ctx, pt, s.execFor(pt.b, clusterInternal(r)), nil)
 	if err != nil {
 		writeErr(w, sweepStatus(err), "advise: %v", err)
 		return
@@ -953,7 +954,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		s.encCol.encodes.Add(1)
 		s.encCol.encodeNs.Add(time.Since(start).Nanoseconds())
 		s.writeBody(w, wire.ContentType, &s.encCol, body, func(h http.Header) {
-			h.Set(headerMatrix, info.ID)
+			h.Set(headerMatrix, pt.info.ID)
 			h.Set(headerCached, strconv.FormatBool(cached))
 			h.Set(headerRows, strconv.Itoa(len(rec.Results)))
 			h.Set(headerAdviseFormat, rec.Format.String())
@@ -963,10 +964,10 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"matrix":        info,
+		"matrix":        pt.info,
 		"p":             pt.ps[0],
-		"backend":       b.ID(),
-		"kernel":        sc.String(),
+		"backend":       pt.b.ID(),
+		"kernel":        pt.sc.String(),
 		"cached":        cached,
 		"format":        rec.Format.String(),
 		"reason":        rec.Reason,
@@ -996,12 +997,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats["cluster"] = s.cluster.Stats()
 	}
 	writeJSON(w, http.StatusOK, stats)
-}
-
-// queryInt parses an optional integer query parameter.
-func queryInt(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	return strconv.Atoi(raw)
 }

@@ -59,14 +59,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // because the job needs group granularity for timings; the post-insert
 // half is the shared sweepEpilogue).
 func (s *Server) sweepTask(pt sweepPoint) jobs.Task {
-	info, m, b := pt.info, pt.m, pt.b
+	info, m := pt.info, pt.m
 	return func(ctx context.Context, report func(int, jobs.GroupTiming)) (any, error) {
 		ws := []workloads.Workload{{ID: info.ID, M: m}}
 		collected := make([]core.Result, 0, len(pt.kinds)*len(pt.ps))
 		// Jobs fan out like synchronous sweeps when this server fronts a
 		// cluster: the job API is never used for coordinator-internal
 		// dispatch, so there is no loop to guard against here.
-		err := s.engine.SweepGroupsExecWith(ctx, s.execFor(b, false), ws, []scenario.Spec{pt.sc}, pt.kinds, pt.ps, func(g core.SweepGroup) error {
+		err := s.engine.SweepGroupsExecWith(ctx, s.execFor(pt.b, false), ws, []scenario.Spec{pt.sc}, pt.kinds, pt.ps, func(g core.SweepGroup) error {
 			collected = append(collected, g.Results...)
 			report(len(g.Results), jobs.GroupTiming{
 				Workload: g.Workload,
@@ -84,7 +84,7 @@ func (s *Server) sweepTask(pt sweepPoint) jobs.Task {
 			return nil, fmt.Errorf("matrix %q: %w", info.ID, errMatrixDeleted)
 		}
 		s.cache.Add(pt.key(), &sweepEntry{results: collected})
-		s.noteBackend(b.ID(), false)
+		s.noteBackend(pt.b.ID(), false)
 		if err := s.sweepEpilogue(info, m); err != nil {
 			return nil, err
 		}
