@@ -168,13 +168,14 @@ func randomTileB(p int, density float64, seed uint64) *matrix.Tile {
 // skewed tile (one long row): small caps spill more tuples, large caps
 // pad more.
 func BenchmarkAblationELLWidth(b *testing.B) {
-	tile := matrix.NewTile(16, 0, 0)
+	tb := matrix.NewTileBuilder(16, 0, 0)
 	for j := 0; j < 16; j++ {
-		tile.Set(3, j, 1) // one full row
+		tb.Set(3, j, 1) // one full row
 	}
 	for i := 0; i < 16; i += 3 {
-		tile.Set(i, 0, 1)
+		tb.Set(i, 0, 1)
 	}
+	tile := tb.Tile()
 	for _, cap := range []int{2, 4, 6, 8, 12} {
 		b.Run("w"+strconv.Itoa(cap), func(b *testing.B) {
 			var bytes int

@@ -56,7 +56,8 @@ type Matrix = matrix.CSR
 // Builder assembles a Matrix from (row, col, value) triplets.
 type Builder = matrix.Builder
 
-// Tile is one dense p×p partition of a matrix.
+// Tile is one p×p partition of a matrix, stored as an immutable
+// per-tile CSR; all-zero padding past the matrix boundary is implicit.
 type Tile = matrix.Tile
 
 // PartitionStats are the Fig. 3 per-partition statistics.

@@ -102,7 +102,7 @@ func (e *BCSREnc) Decode() (*matrix.Tile, error) {
 	if int(e.offsets[nb-1]) != len(e.colIdx) {
 		return nil, corruptf("bcsr: final offset %d vs %d blocks", e.offsets[nb-1], len(e.colIdx))
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	prev := int32(0)
 	for bi := 0; bi < nb; bi++ {
 		if e.offsets[bi] < prev {
@@ -120,14 +120,14 @@ func (e *BCSREnc) Decode() (*matrix.Tile, error) {
 			for i := 0; i < e.b; i++ {
 				for j := 0; j < e.b; j++ {
 					if v := e.vals[base+i*e.b+j]; v != 0 {
-						t.Set(bi*e.b+i, c0+j, v)
+						b.Set(bi*e.b+i, c0+j, v)
 					}
 				}
 			}
 		}
 		prev = e.offsets[bi]
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded. The explicit zeros inside stored blocks

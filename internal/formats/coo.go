@@ -63,7 +63,7 @@ func (e *COOEnc) Decode() (*matrix.Tile, error) {
 	if len(e.rows) == 0 || e.rows[len(e.rows)-1] != cooSentinel {
 		return nil, corruptf("coo: missing sentinel tuple")
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	for k := 0; k < len(e.rows)-1; k++ {
 		i, j := e.rows[k], e.cols[k]
 		if i < 0 || int(i) >= e.p || j < 0 || int(j) >= e.p {
@@ -72,9 +72,9 @@ func (e *COOEnc) Decode() (*matrix.Tile, error) {
 		if e.vals[k] == 0 {
 			return nil, corruptf("coo: tuple %d stores explicit zero", k)
 		}
-		t.Set(int(i), int(j), e.vals[k])
+		b.Set(int(i), int(j), e.vals[k])
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded. Only real tuples travel — the AXI burst

@@ -82,7 +82,7 @@ func (e *CSCEnc) Decode() (*matrix.Tile, error) {
 	if int(e.offsets[e.p-1]) != len(e.vals) {
 		return nil, corruptf("csc: final offset %d vs %d values", e.offsets[e.p-1], len(e.vals))
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	prev := int32(0)
 	for j := 0; j < e.p; j++ {
 		if e.offsets[j] < prev {
@@ -96,11 +96,11 @@ func (e *CSCEnc) Decode() (*matrix.Tile, error) {
 			if i < 0 || int(i) >= e.p {
 				return nil, corruptf("csc: row %d out of range at column %d", i, j)
 			}
-			t.Set(int(i), j, e.vals[k])
+			b.Set(int(i), j, e.vals[k])
 		}
 		prev = e.offsets[j]
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded.

@@ -75,7 +75,7 @@ func (e *CSREnc) Decode() (*matrix.Tile, error) {
 	if int(e.offsets[e.p-1]) != len(e.vals) {
 		return nil, corruptf("csr: final offset %d vs %d values", e.offsets[e.p-1], len(e.vals))
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	prev := int32(0)
 	for i := 0; i < e.p; i++ {
 		if e.offsets[i] < prev {
@@ -89,11 +89,11 @@ func (e *CSREnc) Decode() (*matrix.Tile, error) {
 			if j < 0 || int(j) >= e.p {
 				return nil, corruptf("csr: column %d out of range at row %d", j, i)
 			}
-			t.Set(i, int(j), e.vals[k])
+			b.Set(i, int(j), e.vals[k])
 		}
 		prev = e.offsets[i]
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded. Values ride the value lane; column indices

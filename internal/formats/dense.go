@@ -34,13 +34,15 @@ func (e *DenseEnc) Decode() (*matrix.Tile, error) {
 	if len(e.val) != e.p*e.p {
 		return nil, corruptf("dense: %d values for p=%d", len(e.val), e.p)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	for i := 0; i < e.p; i++ {
 		for j := 0; j < e.p; j++ {
-			t.Set(i, j, e.val[i*e.p+j])
+			if v := e.val[i*e.p+j]; v != 0 {
+				b.Set(i, j, v)
+			}
 		}
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded. The p² transmitted words split into the

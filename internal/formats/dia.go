@@ -70,7 +70,7 @@ func (e *DIAEnc) Decode() (*matrix.Tile, error) {
 	if len(e.lanes) != len(e.diagNo)*e.p {
 		return nil, corruptf("dia: %d lane slots for %d diagonals of p=%d", len(e.lanes), len(e.diagNo), e.p)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	for k, d := range e.diagNo {
 		if int(d) <= -e.p || int(d) >= e.p {
 			return nil, corruptf("dia: diagonal number %d out of range", d)
@@ -88,11 +88,11 @@ func (e *DIAEnc) Decode() (*matrix.Tile, error) {
 				continue
 			}
 			if lane[i] != 0 {
-				t.Set(i, j, lane[i])
+				b.Set(i, j, lane[i])
 			}
 		}
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded. Every stored diagonal transfers p value

@@ -73,7 +73,7 @@ func (e *DOKEnc) Decode() (*matrix.Tile, error) {
 	if len(e.keys) != len(e.vals) {
 		return nil, corruptf("dok: %d keys vs %d values", len(e.keys), len(e.vals))
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	seen := 0
 	for s, k := range e.keys {
 		if k == dokEmpty {
@@ -86,14 +86,16 @@ func (e *DOKEnc) Decode() (*matrix.Tile, error) {
 		if e.vals[s] == 0 {
 			return nil, corruptf("dok: slot %d stores explicit zero", s)
 		}
-		if t.At(i, j) != 0 {
-			return nil, corruptf("dok: duplicate key (%d,%d)", i, j)
-		}
-		t.Set(i, j, e.vals[s])
+		b.Set(i, j, e.vals[s])
 		seen++
 	}
 	if seen != e.nnz {
 		return nil, corruptf("dok: %d occupied slots vs recorded nnz %d", seen, e.nnz)
+	}
+	// A duplicate key collapses two occupied slots into one cell.
+	t := b.Tile()
+	if t.NNZ() != seen {
+		return nil, corruptf("dok: %d occupied slots hold %d distinct keys", seen, t.NNZ())
 	}
 	return t, nil
 }

@@ -67,7 +67,7 @@ func (e *ELLEnc) Decode() (*matrix.Tile, error) {
 	if len(e.idx) != e.p*e.w || len(e.vals) != e.p*e.w {
 		return nil, corruptf("ell: rectangle %d/%d for p=%d w=%d", len(e.idx), len(e.vals), e.p, e.w)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	for i := 0; i < e.p; i++ {
 		for k := 0; k < e.w; k++ {
 			j := e.idx[i*e.w+k]
@@ -83,10 +83,10 @@ func (e *ELLEnc) Decode() (*matrix.Tile, error) {
 			if e.vals[i*e.w+k] == 0 {
 				return nil, corruptf("ell: explicit zero at row %d slot %d", i, k)
 			}
-			t.Set(i, int(j), e.vals[i*e.w+k])
+			b.Set(i, int(j), e.vals[i*e.w+k])
 		}
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded. Both rectangles travel in full; padding

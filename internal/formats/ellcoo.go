@@ -70,7 +70,7 @@ func (e *ELLCOOEnc) Decode() (*matrix.Tile, error) {
 	if len(e.idx) != e.p*e.w || len(e.vals) != e.p*e.w {
 		return nil, corruptf("ell+coo: rectangle %d/%d for p=%d w=%d", len(e.idx), len(e.vals), e.p, e.w)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	for i := 0; i < e.p; i++ {
 		for k := 0; k < e.w; k++ {
 			j := e.idx[i*e.w+k]
@@ -80,7 +80,7 @@ func (e *ELLCOOEnc) Decode() (*matrix.Tile, error) {
 			if j < 0 || int(j) >= e.p {
 				return nil, corruptf("ell+coo: column %d out of range at row %d", j, i)
 			}
-			t.Set(i, int(j), e.vals[i*e.w+k])
+			b.Set(i, int(j), e.vals[i*e.w+k])
 		}
 	}
 	if len(e.srow) == 0 || e.srow[len(e.srow)-1] != cooSentinel {
@@ -91,9 +91,9 @@ func (e *ELLCOOEnc) Decode() (*matrix.Tile, error) {
 		if i < 0 || int(i) >= e.p || j < 0 || int(j) >= e.p {
 			return nil, corruptf("ell+coo: spill tuple %d out of range", k)
 		}
-		t.Set(int(i), int(j), e.sval[k])
+		b.Set(int(i), int(j), e.sval[k])
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded. As with COO, the spill sentinel is

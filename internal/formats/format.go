@@ -3,7 +3,7 @@
 // DIA, plus the dense baseline and the ELL-family extension formats the
 // paper surveys (SELL, ELL+COO, JDS).
 //
-// Each format encodes one dense p×p partition tile into the exact streams
+// Each format encodes one p×p partition tile into the exact streams
 // the modelled accelerator would transfer over AXI, with byte-level
 // accounting split into useful data (non-zero values) and metadata
 // (indices, offsets, headers, padding, and explicitly stored zeros). The
@@ -207,7 +207,7 @@ type Encoded interface {
 	Kind() Kind
 	// P returns the tile edge length.
 	P() int
-	// Decode reconstructs the dense tile, validating the streams. The
+	// Decode rebuilds the tile from the streams, validating them. The
 	// returned tile carries a zero origin; callers re-anchor it.
 	Decode() (*matrix.Tile, error)
 	// Footprint returns the transmitted-byte accounting.

@@ -2,6 +2,8 @@ package formats
 
 import (
 	"errors"
+	"flag"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,25 +14,25 @@ import (
 // randomTile builds a random p×p tile with the given density.
 func randomTile(seed uint64, p int, density float64) *matrix.Tile {
 	r := xrand.New(seed)
-	t := matrix.NewTile(p, 0, 0)
+	b := matrix.NewTileBuilder(p, 0, 0)
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
 			if r.Float64() < density {
-				t.Set(i, j, r.ValueIn(-4, 4))
+				b.Set(i, j, r.ValueIn(-4, 4))
 			}
 		}
 	}
-	return t
+	return b.Tile()
 }
 
 // fig1Tile reproduces the 8×8 example of Fig. 1: non-zeros at (0,3),
 // (4,7), and (7,7).
 func fig1Tile() *matrix.Tile {
-	t := matrix.NewTile(8, 0, 0)
-	t.Set(0, 3, 1)
-	t.Set(4, 7, 2)
-	t.Set(7, 7, 3)
-	return t
+	b := matrix.NewTileBuilder(8, 0, 0)
+	b.Set(0, 3, 1)
+	b.Set(4, 7, 2)
+	b.Set(7, 7, 3)
+	return b.Tile()
 }
 
 func TestKindString(t *testing.T) {
@@ -100,41 +102,41 @@ func TestRoundTripAllFormats(t *testing.T) {
 func TestRoundTripStructured(t *testing.T) {
 	shapes := map[string]func(p int) *matrix.Tile{
 		"diagonal": func(p int) *matrix.Tile {
-			tl := matrix.NewTile(p, 0, 0)
+			tl := matrix.NewTileBuilder(p, 0, 0)
 			for i := 0; i < p; i++ {
 				tl.Set(i, i, float64(i+1))
 			}
-			return tl
+			return tl.Tile()
 		},
 		"single-row": func(p int) *matrix.Tile {
-			tl := matrix.NewTile(p, 0, 0)
+			tl := matrix.NewTileBuilder(p, 0, 0)
 			for j := 0; j < p; j++ {
 				tl.Set(p/2, j, float64(j+1))
 			}
-			return tl
+			return tl.Tile()
 		},
 		"single-col": func(p int) *matrix.Tile {
-			tl := matrix.NewTile(p, 0, 0)
+			tl := matrix.NewTileBuilder(p, 0, 0)
 			for i := 0; i < p; i++ {
 				tl.Set(i, p/2, float64(i+1))
 			}
-			return tl
+			return tl.Tile()
 		},
 		"checkerboard": func(p int) *matrix.Tile {
-			tl := matrix.NewTile(p, 0, 0)
+			tl := matrix.NewTileBuilder(p, 0, 0)
 			for i := 0; i < p; i++ {
 				for j := (i % 2); j < p; j += 2 {
 					tl.Set(i, j, 1)
 				}
 			}
-			return tl
+			return tl.Tile()
 		},
 		"anti-diagonal": func(p int) *matrix.Tile {
-			tl := matrix.NewTile(p, 0, 0)
+			tl := matrix.NewTileBuilder(p, 0, 0)
 			for i := 0; i < p; i++ {
 				tl.Set(i, p-1-i, float64(i+1))
 			}
-			return tl
+			return tl.Tile()
 		},
 	}
 	for name, mk := range shapes {
@@ -269,10 +271,11 @@ func TestCOOUtilizationConstant(t *testing.T) {
 // TestDIAUtilizationDiagonal reproduces §6.3: DIA on a pure diagonal tile
 // utilizes nearly the whole bandwidth (only the header word is overhead).
 func TestDIAUtilizationDiagonal(t *testing.T) {
-	tile := matrix.NewTile(16, 0, 0)
+	tb := matrix.NewTileBuilder(16, 0, 0)
 	for i := 0; i < 16; i++ {
-		tile.Set(i, i, 1)
+		tb.Set(i, i, 1)
 	}
+	tile := tb.Tile()
 	u := Encode(DIA, tile).Footprint().Utilization()
 	want := 16.0 * matrix.BytesPerValue / (17.0 * matrix.BytesPerValue)
 	if u != want {
@@ -330,8 +333,9 @@ func TestELLDotRowsIsP(t *testing.T) {
 func TestBCSRDotRowsCoversBlocks(t *testing.T) {
 	// One non-zero in one block row: BCSR processes all 4 rows of that
 	// block row even though only one is non-zero.
-	tile := matrix.NewTile(8, 0, 0)
-	tile.Set(1, 1, 5)
+	tb := matrix.NewTileBuilder(8, 0, 0)
+	tb.Set(1, 1, 5)
+	tile := tb.Tile()
 	s := Encode(BCSR, tile).Stats()
 	if s.DotRows != 4 || s.Blocks != 1 || s.BlockRows != 1 {
 		t.Fatalf("BCSR stats = %+v, want DotRows=4 Blocks=1 BlockRows=1", s)
@@ -340,7 +344,7 @@ func TestBCSRDotRowsCoversBlocks(t *testing.T) {
 
 func TestEmptyTileAllFormats(t *testing.T) {
 	for _, k := range All() {
-		tile := matrix.NewTile(8, 0, 0)
+		tile := matrix.NewTileBuilder(8, 0, 0).Tile()
 		enc := Encode(k, tile)
 		dec, err := enc.Decode()
 		if err != nil {
@@ -469,12 +473,50 @@ func TestCorruptionDetection(t *testing.T) {
 			e.widths[0] = int32(e.p + 1)
 			return e
 		}},
+		{"dok duplicate key", func() Encoded {
+			e := encodeDOK(tile)
+			first := -1
+			for s, k := range e.keys {
+				if k == dokEmpty {
+					continue
+				}
+				if first < 0 {
+					first = s
+					continue
+				}
+				e.keys[s] = e.keys[first]
+				break
+			}
+			return e
+		}},
+		{"csr extra zero write over a stored cell", func() Encoded {
+			// Append a (row, col, 0) entry after the last stored entry
+			// of a non-empty row and shift the later offsets: decoded
+			// with dense-array semantics the zero empties that cell.
+			e := encodeCSR(tile)
+			i := 0
+			for e.offsets[i] == 0 {
+				i++
+			}
+			at := int(e.offsets[i])
+			e.colIdx = slices.Insert(e.colIdx, at, e.colIdx[at-1])
+			e.vals = slices.Insert(e.vals, at, 0)
+			for k := i; k < e.p; k++ {
+				e.offsets[k]++
+			}
+			return e
+		}},
 	}
+	// Corruptions no decode may survive, not even as a different tile.
+	mustErr := map[string]bool{"dok duplicate key": true}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			enc := c.corrupt()
 			dec, err := enc.Decode()
 			if err == nil {
+				if mustErr[c.name] {
+					t.Fatal("corrupted stream decoded without error")
+				}
 				// Corruption may accidentally produce a valid different
 				// encoding; it must at least not equal the source tile.
 				if dec.EqualValues(tile) {
@@ -489,13 +531,47 @@ func TestCorruptionDetection(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocSparse: decoding is O(nnz + p), never O(p²). A p=256
+// tile with 4 non-zeros decodes in every format within a few KiB; a
+// dense p×p staging buffer alone would be 512 KiB.
+func TestDecodeAllocSparse(t *testing.T) {
+	const p, limit = 256, 32 << 10
+	tb := matrix.NewTileBuilder(p, 0, 0)
+	for _, c := range [][2]int{{0, 0}, {7, 200}, {128, 3}, {255, 255}} {
+		tb.Set(c[0], c[1], float64(c[0]+c[1]+1))
+	}
+	tile := tb.Tile()
+	// A fixed iteration count: allocation is deterministic, so a short
+	// run measures it exactly.
+	bt := flag.Lookup("test.benchtime").Value
+	old := bt.String()
+	if err := bt.Set("50x"); err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Set(old)
+	for _, k := range All() {
+		enc := Encode(k, tile)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := enc.Decode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got >= limit {
+			t.Errorf("%v: decode allocates %d B/op, want < %d", k, got, limit)
+		}
+	}
+}
+
 func TestEncodeUnknownKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Encode with unknown kind did not panic")
 		}
 	}()
-	Encode(Kind(12345), matrix.NewTile(8, 0, 0))
+	Encode(Kind(12345), matrix.NewTileBuilder(8, 0, 0).Tile())
 }
 
 // TestSELLTighterThanELL: slicing can only shrink the padded rectangle.
@@ -555,10 +631,11 @@ func TestSELLCSWindowLocality(t *testing.T) {
 // TestELLCOOCapsWidth: the hybrid never exceeds the configured cap.
 func TestELLCOOCapsWidth(t *testing.T) {
 	// A tile with one full row would force plain ELL to width p.
-	tile := matrix.NewTile(16, 0, 0)
+	tb := matrix.NewTileBuilder(16, 0, 0)
 	for j := 0; j < 16; j++ {
-		tile.Set(3, j, 1)
+		tb.Set(3, j, 1)
 	}
+	tile := tb.Tile()
 	e := encodeELLCOO(tile, ELLWidth)
 	if e.Width() != ELLWidth {
 		t.Fatalf("hybrid width = %d, want %d", e.Width(), ELLWidth)

@@ -16,6 +16,45 @@ func fuzzTileOK(t *testing.T, tile *matrix.Tile, p int) {
 	if tile.P != p {
 		t.Fatalf("decoded tile size %d, want %d", tile.P, p)
 	}
+	for i := 0; i < p; i++ {
+		cols, vals := tile.RowView(i)
+		for k, j := range cols {
+			if j < 0 || int(j) >= p || k > 0 && j <= cols[k-1] {
+				t.Fatalf("row %d columns %v not strictly ascending within [0,%d)", i, cols, p)
+			}
+			if vals[k] == 0 {
+				t.Fatalf("row %d stores a zero at column %d", i, j)
+			}
+		}
+	}
+}
+
+// FuzzRoundTrip builds a tile from (row, col, value) byte triples —
+// zero values clear cells, repeated cells overwrite — and requires every
+// format to decode its own encoding back to that tile.
+func FuzzRoundTrip(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 3, 1, 4, 7, 2, 7, 7, 3})
+	f.Add(uint8(1), []byte{})
+	f.Add(uint8(2), []byte{5, 5, 9, 5, 5, 0, 2, 9, 250, 2, 1, 4, 2, 9, 6})
+	f.Add(uint8(3), []byte{31, 0, 1, 0, 31, 2, 16, 16, 128})
+	f.Fuzz(func(t *testing.T, sel uint8, cells []byte) {
+		p := 8 * (1 + int(sel)%4) // 8..32: every format's divisibility holds
+		b := matrix.NewTileBuilder(p, 0, 0)
+		for k := 0; k+2 < len(cells) && k < 3*1024; k += 3 {
+			b.Set(int(cells[k])%p, int(cells[k+1])%p, float64(int8(cells[k+2])))
+		}
+		tile := b.Tile()
+		fuzzTileOK(t, tile, p)
+		for _, k := range All() {
+			dec, err := Encode(k, tile).Decode()
+			if err != nil {
+				t.Fatalf("%v: decode: %v", k, err)
+			}
+			if !dec.EqualValues(tile) {
+				t.Fatalf("%v: round trip changed the tile", k)
+			}
+		}
+	})
 }
 
 func FuzzCSRDecode(f *testing.F) {

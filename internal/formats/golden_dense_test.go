@@ -466,7 +466,7 @@ func encStreamsEqual(t *testing.T, got, want Encoded) bool {
 // goldenTiles builds the cross-check corpus: random tiles over a density
 // sweep plus the structured adversaries (diagonal, full row/column,
 // checkerboard, anti-diagonal, skewed, empty), all at several partition
-// sizes — every tile both staged through Set and extracted sealed from a
+// sizes — tiles both written through a TileBuilder and extracted from a
 // partitioned matrix.
 func goldenTiles(t *testing.T) []*matrix.Tile {
 	t.Helper()
@@ -474,7 +474,7 @@ func goldenTiles(t *testing.T) []*matrix.Tile {
 	for _, p := range []int{8, 16, 32} {
 		for _, density := range []float64{0, 0.02, 0.1, 0.3, 0.7, 1} {
 			r := xrand.New(uint64(p)*1000 + uint64(density*100))
-			tl := matrix.NewTile(p, 0, 0)
+			tl := matrix.NewTileBuilder(p, 0, 0)
 			for i := 0; i < p; i++ {
 				for j := 0; j < p; j++ {
 					if r.Float64() < density {
@@ -482,14 +482,14 @@ func goldenTiles(t *testing.T) []*matrix.Tile {
 					}
 				}
 			}
-			tiles = append(tiles, tl)
+			tiles = append(tiles, tl.Tile())
 		}
-		diag := matrix.NewTile(p, 0, 0)
-		fullRow := matrix.NewTile(p, 0, 0)
-		fullCol := matrix.NewTile(p, 0, 0)
-		checker := matrix.NewTile(p, 0, 0)
-		anti := matrix.NewTile(p, 0, 0)
-		skew := matrix.NewTile(p, 0, 0)
+		diag := matrix.NewTileBuilder(p, 0, 0)
+		fullRow := matrix.NewTileBuilder(p, 0, 0)
+		fullCol := matrix.NewTileBuilder(p, 0, 0)
+		checker := matrix.NewTileBuilder(p, 0, 0)
+		anti := matrix.NewTileBuilder(p, 0, 0)
+		skew := matrix.NewTileBuilder(p, 0, 0)
 		for i := 0; i < p; i++ {
 			diag.Set(i, i, float64(i+1))
 			fullRow.Set(p/2, i, float64(i+1))
@@ -505,9 +505,11 @@ func goldenTiles(t *testing.T) []*matrix.Tile {
 		for i := 0; i < p; i += 3 {
 			skew.Set(i, 0, 1)
 		}
-		tiles = append(tiles, diag, fullRow, fullCol, checker, anti, skew, matrix.NewTile(p, 0, 0))
+		for _, b := range []*matrix.TileBuilder{diag, fullRow, fullCol, checker, anti, skew, matrix.NewTileBuilder(p, 0, 0)} {
+			tiles = append(tiles, b.Tile())
+		}
 	}
-	// Sealed tiles straight out of a partitioning (the production path).
+	// Tiles straight out of a partitioning (the production path).
 	m := gen.Random(96, 0.08, 4242)
 	tiles = append(tiles, matrix.Partition(m, 16).Tiles...)
 	tiles = append(tiles, matrix.Partition(gen.Band(96, 9, 7), 8).Tiles...)
@@ -569,9 +571,10 @@ func TestSparseEncodersMatchDenseReferenceAblations(t *testing.T) {
 // sparse walks exactly as through the dense reference (compared via
 // Decode, since NaN breaks slice equality).
 func TestEncodeNaNMatchesReference(t *testing.T) {
-	tile := matrix.NewTile(8, 0, 0)
-	tile.Set(1, 2, math.NaN())
-	tile.Set(5, 7, 3.5)
+	tb := matrix.NewTileBuilder(8, 0, 0)
+	tb.Set(1, 2, math.NaN())
+	tb.Set(5, 7, 3.5)
+	tile := tb.Tile()
 	for _, k := range All() {
 		got := Encode(k, tile)
 		dec, err := got.Decode()

@@ -93,7 +93,7 @@ func (e *JDSEnc) Decode() (*matrix.Tile, error) {
 	if len(e.ptr) == 0 || int(e.ptr[len(e.ptr)-1]) != len(e.vals) || len(e.idx) != len(e.vals) {
 		return nil, corruptf("jds: pointer/stream inconsistency")
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	for k := 0; k < e.Width(); k++ {
 		start, end := int(e.ptr[k]), int(e.ptr[k+1])
 		if start > end || end > len(e.vals) {
@@ -112,10 +112,10 @@ func (e *JDSEnc) Decode() (*matrix.Tile, error) {
 			if e.vals[start+r] == 0 {
 				return nil, corruptf("jds: explicit zero on diagonal %d", k)
 			}
-			t.Set(int(e.perm[r]), int(j), e.vals[start+r])
+			b.Set(int(e.perm[r]), int(j), e.vals[start+r])
 		}
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded. No padding travels, but the permutation

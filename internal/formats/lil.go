@@ -97,7 +97,7 @@ func (e *LILEnc) Decode() (*matrix.Tile, error) {
 	if len(e.colRows) != e.p || len(e.colVals) != e.p {
 		return nil, corruptf("lil: %d/%d columns for p=%d", len(e.colRows), len(e.colVals), e.p)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	cursor := make([]int, e.p)
 	for {
 		minRow := int32(-1)
@@ -119,7 +119,7 @@ func (e *LILEnc) Decode() (*matrix.Tile, error) {
 			}
 		}
 		if minRow == -1 {
-			return t, nil
+			return b.Tile(), nil
 		}
 		for j := 0; j < e.p; j++ {
 			if cursor[j] < len(e.colRows[j]) && e.colRows[j][cursor[j]] == minRow {
@@ -127,7 +127,7 @@ func (e *LILEnc) Decode() (*matrix.Tile, error) {
 				if v == 0 {
 					return nil, corruptf("lil: explicit zero in column %d", j)
 				}
-				t.Set(int(minRow), j, v)
+				b.Set(int(minRow), j, v)
 				cursor[j]++
 			}
 		}

@@ -68,7 +68,7 @@ func (e *SELLEnc) Decode() (*matrix.Tile, error) {
 	if len(e.widths) != e.p/e.c {
 		return nil, corruptf("sell: %d slices for p=%d c=%d", len(e.widths), e.p, e.c)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	base := 0
 	for s, w32 := range e.widths {
 		w := int(w32)
@@ -90,7 +90,7 @@ func (e *SELLEnc) Decode() (*matrix.Tile, error) {
 				if e.vals[base+r*w+k] == 0 {
 					return nil, corruptf("sell: explicit zero in slice %d", s)
 				}
-				t.Set(s*e.c+r, int(j), e.vals[base+r*w+k])
+				b.Set(s*e.c+r, int(j), e.vals[base+r*w+k])
 			}
 		}
 		base += e.c * w
@@ -98,7 +98,7 @@ func (e *SELLEnc) Decode() (*matrix.Tile, error) {
 	if base != len(e.idx) {
 		return nil, corruptf("sell: %d trailing rectangle slots", len(e.idx)-base)
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded.

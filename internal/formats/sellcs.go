@@ -108,7 +108,7 @@ func (e *SELLCSEnc) Decode() (*matrix.Tile, error) {
 	if len(e.widths) != e.p/e.c {
 		return nil, corruptf("sell-c-sigma: %d slices for p=%d c=%d", len(e.widths), e.p, e.c)
 	}
-	t := matrix.NewTile(e.p, 0, 0)
+	b := matrix.NewTileBuilder(e.p, 0, 0)
 	base := 0
 	for s, w32 := range e.widths {
 		w := int(w32)
@@ -131,7 +131,7 @@ func (e *SELLCSEnc) Decode() (*matrix.Tile, error) {
 				if e.vals[base+r*w+k] == 0 {
 					return nil, corruptf("sell-c-sigma: explicit zero in slice %d", s)
 				}
-				t.Set(orig, int(j), e.vals[base+r*w+k])
+				b.Set(orig, int(j), e.vals[base+r*w+k])
 			}
 		}
 		base += e.c * w
@@ -139,7 +139,7 @@ func (e *SELLCSEnc) Decode() (*matrix.Tile, error) {
 	if base != len(e.idx) {
 		return nil, corruptf("sell-c-sigma: %d trailing rectangle slots", len(e.idx)-base)
 	}
-	return t, nil
+	return b.Tile(), nil
 }
 
 // Footprint implements Encoded: SELL's streams plus the permutation.

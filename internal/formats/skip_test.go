@@ -34,10 +34,11 @@ func TestCSRSkipListMatchesFullWalk(t *testing.T) {
 // indices, ascending — one entry per NonZeroRows, and it is derived
 // metadata: a decode/re-encode round trip rebuilds it identically.
 func TestCSRSkipListContents(t *testing.T) {
-	tile := matrix.NewTile(16, 0, 0)
+	tb := matrix.NewTileBuilder(16, 0, 0)
 	for _, i := range []int{1, 5, 6, 13} {
-		tile.Set(i, i, float64(i+1))
+		tb.Set(i, i, float64(i+1))
 	}
+	tile := tb.Tile()
 	e := Encode(CSR, tile).(*CSREnc)
 	want := []int32{1, 5, 6, 13}
 	if len(e.skip) != len(want) {

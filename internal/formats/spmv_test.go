@@ -40,44 +40,44 @@ var rowOrdered = map[Kind]bool{
 // spill), and the random shapes used by the PR 3 encoder ablations.
 func adversarialTiles(p int) map[string]*matrix.Tile {
 	tiles := map[string]*matrix.Tile{
-		"empty":  matrix.NewTile(p, 0, 0),
+		"empty":  matrix.NewTileBuilder(p, 0, 0).Tile(),
 		"dense":  randomTile(11, p, 1.0),
 		"sparse": randomTile(12, p, 0.08),
 		"mid":    randomTile(13, p, 0.4),
 	}
-	oneRow := matrix.NewTile(p, 0, 0)
+	oneRow := matrix.NewTileBuilder(p, 0, 0)
 	for j := 0; j < p; j++ {
 		oneRow.Set(3, j, float64(j+1))
 	}
-	tiles["single_dense_row"] = oneRow
+	tiles["single_dense_row"] = oneRow.Tile()
 
-	oneCol := matrix.NewTile(p, 0, 0)
+	oneCol := matrix.NewTileBuilder(p, 0, 0)
 	for i := 0; i < p; i++ {
 		oneCol.Set(i, 5, float64(i)-3.5)
 	}
-	tiles["single_column"] = oneCol
+	tiles["single_column"] = oneCol.Tile()
 
-	diag := matrix.NewTile(p, 0, 0)
+	diag := matrix.NewTileBuilder(p, 0, 0)
 	for i := 0; i < p; i++ {
 		diag.Set(i, i, 2.0+float64(i))
 	}
-	tiles["diagonal"] = diag
+	tiles["diagonal"] = diag.Tile()
 
 	// One long row forces an ELL+COO spill and a deep JDS diagonal set;
 	// the alternating empty rows exercise row skipping.
-	jag := matrix.NewTile(p, 0, 0)
+	jag := matrix.NewTileBuilder(p, 0, 0)
 	for j := 0; j < p; j++ {
 		jag.Set(0, j, 1.0/float64(j+1))
 	}
 	for i := 2; i < p; i += 2 {
 		jag.Set(i, (i*3)%p, float64(i))
 	}
-	tiles["jagged"] = jag
+	tiles["jagged"] = jag.Tile()
 
-	corner := matrix.NewTile(p, 0, 0)
+	corner := matrix.NewTileBuilder(p, 0, 0)
 	corner.Set(p-1, p-1, 7.5)
 	corner.Set(0, 0, -2.25)
-	tiles["corners"] = corner
+	tiles["corners"] = corner.Tile()
 	return tiles
 }
 
@@ -148,15 +148,16 @@ func TestKernelsAccumulate(t *testing.T) {
 // in-range output matches the reference.
 func TestKernelsBoundaryClamp(t *testing.T) {
 	const p, rows, cols = 16, 11, 9
-	tile := matrix.NewTile(p, 0, 0)
+	tb := matrix.NewTileBuilder(p, 0, 0)
 	r := xrand.New(31)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if r.Float64() < 0.5 {
-				tile.Set(i, j, r.ValueIn(-4, 4))
+				tb.Set(i, j, r.ValueIn(-4, 4))
 			}
 		}
 	}
+	tile := tb.Tile()
 	x := testOperand(cols, 32)
 	xFull := make([]float64, p)
 	copy(xFull, x)

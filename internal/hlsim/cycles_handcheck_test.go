@@ -15,10 +15,11 @@ import (
 // update this table.
 func TestDecompCyclesHandComputed(t *testing.T) {
 	cfg := Default()
-	tile := matrix.NewTile(8, 0, 0)
-	tile.Set(0, 3, 1)
-	tile.Set(4, 7, 2)
-	tile.Set(7, 7, 3)
+	tb := matrix.NewTileBuilder(8, 0, 0)
+	tb.Set(0, 3, 1)
+	tb.Set(4, 7, 2)
+	tb.Set(7, 7, 3)
+	tile := tb.Tile()
 
 	// nnz=3, non-zero rows=3; BCSR blocks: (0,0) and (1,1) → 2 blocks in
 	// 2 block rows; DIA diagonals: 3 and 0 → 2; DOK table = 8 slots.
@@ -64,10 +65,11 @@ func TestDecompCyclesHandComputed(t *testing.T) {
 // dual 8-byte streamlines, 4-cycle burst overhead.
 func TestMemCyclesHandComputed(t *testing.T) {
 	cfg := Default()
-	tile := matrix.NewTile(8, 0, 0)
-	tile.Set(0, 3, 1)
-	tile.Set(4, 7, 2)
-	tile.Set(7, 7, 3)
+	tb := matrix.NewTileBuilder(8, 0, 0)
+	tb.Set(0, 3, 1)
+	tb.Set(4, 7, 2)
+	tb.Set(7, 7, 3)
+	tile := tb.Tile()
 
 	// Dense: 64 values × 4 B / 8 B-per-cycle = 32 + 4 burst = 36.
 	if got := cfg.MemCycles(formats.Encode(formats.Dense, tile)); got != 36 {

@@ -61,14 +61,14 @@ func mustSigmaDirect(t *testing.T, c Config, enc formats.Encoded) float64 {
 // on: the paper's Fig. 1 example extended with one denser row, so block,
 // diagonal, slice and jagged structures are all non-trivial.
 func pinTile() *matrix.Tile {
-	tile := matrix.NewTile(8, 0, 0)
-	tile.Set(0, 3, 1)
-	tile.Set(2, 1, 4)
-	tile.Set(2, 5, 5)
-	tile.Set(2, 6, 6)
-	tile.Set(4, 7, 2)
-	tile.Set(7, 7, 3)
-	return tile
+	b := matrix.NewTileBuilder(8, 0, 0)
+	b.Set(0, 3, 1)
+	b.Set(2, 1, 4)
+	b.Set(2, 5, 5)
+	b.Set(2, 6, 6)
+	b.Set(4, 7, 2)
+	b.Set(7, 7, 3)
+	return b.Tile()
 }
 
 // TestCycleModelPinned is the analytic model's drift guard: one case per

@@ -13,15 +13,15 @@ import (
 
 func randomTile(seed uint64, p int, density float64) *matrix.Tile {
 	r := xrand.New(seed)
-	t := matrix.NewTile(p, 0, 0)
+	b := matrix.NewTileBuilder(p, 0, 0)
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
 			if r.Float64() < density {
-				t.Set(i, j, r.ValueIn(-2, 2))
+				b.Set(i, j, r.ValueIn(-2, 2))
 			}
 		}
 	}
-	return t
+	return b.Tile()
 }
 
 func TestConfigValidate(t *testing.T) {

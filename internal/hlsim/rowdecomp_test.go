@@ -17,7 +17,7 @@ func drain(t *testing.T, cfg Config, enc formats.Encoded) (*matrix.Tile, int, in
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile := matrix.NewTile(enc.P(), 0, 0)
+	tb := matrix.NewTileBuilder(enc.P(), 0, 0)
 	cycles, rows := 0, 0
 	seen := map[int]bool{}
 	for {
@@ -34,13 +34,13 @@ func drain(t *testing.T, cfg Config, enc formats.Encoded) (*matrix.Tile, int, in
 		seen[r.Index] = true
 		for j, v := range r.Values {
 			if v != 0 {
-				tile.Set(r.Index, j, v)
+				tb.Set(r.Index, j, v)
 			}
 		}
 		cycles += r.Cycles
 		rows++
 	}
-	return tile, cycles, rows
+	return tb.Tile(), cycles, rows
 }
 
 // TestRowSourceReconstructsTile: the operational decompressors rebuild
@@ -122,7 +122,7 @@ func TestRowSourceEmissionCounts(t *testing.T) {
 // formats and emits zero rows for padded ones without errors.
 func TestRowSourceEmptyTile(t *testing.T) {
 	cfg := Default()
-	tile := matrix.NewTile(8, 0, 0)
+	tile := matrix.NewTileBuilder(8, 0, 0).Tile()
 	for _, k := range formats.All() {
 		enc := formats.Encode(k, tile)
 		got, cycles, _ := drain(t, cfg, enc)

@@ -16,90 +16,119 @@ import "fmt"
 // implicitly zero-padded to the full p×p shape, matching the hardware's
 // fixed-width dot-product engine — padding rows simply have empty spans.
 //
-// Mutation (Set) and decode paths stage values in a transient dense p×p
-// buffer that is converted back ("sealed") to the CSR form on the next
-// sparse read; the steady-state Partition→encode path never allocates it.
-// A sealed tile is safe for concurrent reads; mutation is not
-// goroutine-safe.
+// Tiles are immutable once built (by Partition, TileAt or a TileBuilder)
+// and safe for concurrent reads.
 type Tile struct {
 	P        int // partition edge length
 	Row, Col int // origin of the tile in the parent matrix
 
-	// Sealed CSR view: row i spans cols/vals[rowPtr[i]:rowPtr[i+1]].
+	// CSR view: row i spans cols/vals[rowPtr[i]:rowPtr[i+1]].
 	rowPtr []int32 // len P+1
 	cols   []int32 // local column indices, ascending within a row
 	vals   []float64
 	nzRows int
-
-	// dense is the mutation/decode staging buffer (P*P row-major);
-	// non-nil marks the tile dirty until the next seal.
-	dense []float64
 }
 
-// NewTile returns an all-zero p×p tile at the given origin, in staging
-// mode ready for Set calls (decoders and tests build tiles this way; the
-// partitioner constructs sealed tiles directly).
-func NewTile(p, row, col int) *Tile {
-	if p <= 0 {
-		panic(fmt.Sprintf("matrix: NewTile with p=%d", p))
-	}
-	return &Tile{P: p, Row: row, Col: col, dense: make([]float64, p*p)}
-}
-
-// newTileCSR wires a sealed tile over pre-built CSR spans (Partition and
-// TileAt own the backing buffers).
+// newTileCSR wires a tile over pre-built CSR spans (Partition and TileAt
+// own the backing buffers).
 func newTileCSR(p, row, col int, rowPtr, cols []int32, vals []float64, nzRows int) Tile {
 	return Tile{P: p, Row: row, Col: col, rowPtr: rowPtr, cols: cols, vals: vals, nzRows: nzRows}
 }
 
-// seal converts the dense staging buffer back to the compact CSR view.
-// It is a no-op on an already-sealed tile, so sparse accessors may call
-// it unconditionally (and concurrently, once sealed).
-func (t *Tile) seal() {
-	if t.dense == nil {
-		return
-	}
-	p := t.P
-	nnz := 0
-	for _, v := range t.dense {
-		if v != 0 {
-			nnz++
-		}
-	}
-	t.rowPtr = make([]int32, p+1)
-	t.cols = make([]int32, 0, nnz)
-	t.vals = make([]float64, 0, nnz)
-	t.nzRows = 0
-	for i := 0; i < p; i++ {
-		row := t.dense[i*p : (i+1)*p]
-		for j, v := range row {
-			if v != 0 {
-				t.cols = append(t.cols, int32(j))
-				t.vals = append(t.vals, v)
-			}
-		}
-		if int(t.rowPtr[i]) != len(t.cols) {
-			t.nzRows++
-		}
-		t.rowPtr[i+1] = int32(len(t.cols))
-	}
-	t.dense = nil
+// TileBuilder collects cell writes for one p×p tile — the decoders'
+// output path and the way tests hand-build tiles. It keeps the cell
+// semantics of a dense p×p array: the last write to a cell wins, writing
+// zero empties the cell, and NaN is stored like any other non-zero.
+type TileBuilder struct {
+	p, row, col int
+	ents        []tileEntry
 }
 
-// Set stores v at local coordinates (i, j). It re-opens the dense staging
-// buffer if the tile was sealed; the next sparse read re-seals.
-func (t *Tile) Set(i, j int, v float64) {
-	if t.dense == nil {
-		t.dense = t.DenseInto(make([]float64, t.P*t.P))
+type tileEntry struct {
+	i, j int32
+	v    float64
+}
+
+// NewTileBuilder returns an empty builder for the p×p tile at the given
+// origin.
+func NewTileBuilder(p, row, col int) *TileBuilder {
+	if p <= 0 {
+		panic(fmt.Sprintf("matrix: NewTileBuilder with p=%d", p))
 	}
-	t.dense[i*t.P+j] = v
+	return &TileBuilder{p: p, row: row, col: col}
+}
+
+// Set writes v at local coordinates (i, j). Out-of-range coordinates
+// panic, like Builder.Add.
+func (b *TileBuilder) Set(i, j int, v float64) {
+	if uint(i) >= uint(b.p) || uint(j) >= uint(b.p) {
+		panic(fmt.Sprintf("matrix: TileBuilder.Set(%d, %d) out of range for p=%d", i, j, b.p))
+	}
+	b.ents = append(b.ents, tileEntry{int32(i), int32(j), v})
+}
+
+// Tile builds the tile from the writes so far and resets the builder. A
+// stable counting scatter groups the writes by row, then a per-row
+// insertion sort orders them by column — linear when each row's columns
+// were written in ascending order, as every row-major or column-major
+// decoder writes them.
+func (b *TileBuilder) Tile() *Tile {
+	p, ents := b.p, b.ents
+	b.ents = b.ents[:0]
+	rowPtr := make([]int32, p+1)
+	for _, e := range ents {
+		rowPtr[e.i+1]++
+	}
+	for i := 0; i < p; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	cols := make([]int32, len(ents))
+	vals := make([]float64, len(ents))
+	// The scatter advances rowPtr[i] from row i's start to its end.
+	for _, e := range ents {
+		k := rowPtr[e.i]
+		cols[k], vals[k] = e.j, e.v
+		rowPtr[e.i]++
+	}
+	// Sort each row, keep the last write per column, drop zeros, and
+	// compact in place, restoring rowPtr[i] to the row's new start.
+	w, s, nzRows := int32(0), int32(0), 0
+	for i := 0; i < p; i++ {
+		e := rowPtr[i]
+		sortRow(cols[s:e], vals[s:e])
+		rowPtr[i] = w
+		for k := s; k < e; k++ {
+			if k+1 < e && cols[k+1] == cols[k] || vals[k] == 0 {
+				continue
+			}
+			cols[w], vals[w] = cols[k], vals[k]
+			w++
+		}
+		if w > rowPtr[i] {
+			nzRows++
+		}
+		s = e
+	}
+	rowPtr[p] = w
+	t := newTileCSR(p, b.row, b.col, rowPtr, cols[:w:w], vals[:w:w], nzRows)
+	return &t
+}
+
+// sortRow orders one row's writes by column with a stable insertion sort,
+// so writes to the same cell keep their order.
+func sortRow(cols []int32, vals []float64) {
+	for k := 1; k < len(cols); k++ {
+		c, v := cols[k], vals[k]
+		m := k
+		for ; m > 0 && cols[m-1] > c; m-- {
+			cols[m], vals[m] = cols[m-1], vals[m-1]
+		}
+		cols[m], vals[m] = c, v
+	}
 }
 
 // At returns the value at local coordinates (i, j).
 func (t *Tile) At(i, j int) float64 {
-	if t.dense != nil {
-		return t.dense[i*t.P+j]
-	}
 	lo, hi := int(t.rowPtr[i]), int(t.rowPtr[i+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -116,78 +145,41 @@ func (t *Tile) At(i, j int) float64 {
 }
 
 // NNZ returns the number of non-zero entries in the tile.
-func (t *Tile) NNZ() int {
-	t.seal()
-	return len(t.vals)
-}
+func (t *Tile) NNZ() int { return len(t.vals) }
 
 // Density returns NNZ / P².
 func (t *Tile) Density() float64 { return float64(t.NNZ()) / float64(t.P*t.P) }
 
 // RowNNZ returns the number of non-zeros in local row i.
-func (t *Tile) RowNNZ(i int) int {
-	t.seal()
-	return int(t.rowPtr[i+1] - t.rowPtr[i])
-}
+func (t *Tile) RowNNZ(i int) int { return int(t.rowPtr[i+1] - t.rowPtr[i]) }
 
 // NonZeroRows returns the count of rows with at least one non-zero. This
 // drives both the dot-product count in Eq. (1) and the inner-pipeline
 // utilization discussed in §5.1.
-func (t *Tile) NonZeroRows() int {
-	t.seal()
-	return t.nzRows
-}
+func (t *Tile) NonZeroRows() int { return t.nzRows }
 
 // RowView returns local row i's non-zeros: ascending local column
 // indices and the matching values. The slices alias the tile's storage —
 // callers must not mutate them. This is the O(nnz) walk every format
 // encoder is built on.
 func (t *Tile) RowView(i int) (cols []int32, vals []float64) {
-	t.seal()
 	s, e := t.rowPtr[i], t.rowPtr[i+1]
 	return t.cols[s:e:e], t.vals[s:e:e]
 }
 
 // Dense materializes the tile as a fresh P*P row-major buffer, zeros
-// included — the escape hatch for consumers that genuinely need the p²
-// form (decode staging, golden cross-checks, tests). The steady-state
-// partition→encode path never calls it.
-func (t *Tile) Dense() []float64 { return t.DenseInto(nil) }
-
-// DenseInto is Dense writing into dst when cap(dst) >= P*P (allocating
-// otherwise), so verification loops can reuse one buffer across tiles.
-func (t *Tile) DenseInto(dst []float64) []float64 {
-	n := t.P * t.P
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-		clear(dst)
-	}
-	if t.dense != nil {
-		copy(dst, t.dense)
-		return dst
-	}
+// included — for consumers that genuinely need the p² form: the Dense
+// format's payload and the golden reference encoders. The partition →
+// encode → decode-verify path never calls it.
+func (t *Tile) Dense() []float64 {
+	d := make([]float64, t.P*t.P)
 	for i := 0; i < t.P; i++ {
-		base := i * t.P
-		for k := t.rowPtr[i]; k < t.rowPtr[i+1]; k++ {
-			dst[base+int(t.cols[k])] = t.vals[k]
+		cols, vals := t.RowView(i)
+		for k, j := range cols {
+			d[i*t.P+int(j)] = vals[k]
 		}
 	}
-	return dst
-}
-
-// Clone returns a deep copy of the tile.
-func (t *Tile) Clone() *Tile {
-	c := &Tile{P: t.P, Row: t.Row, Col: t.Col, nzRows: t.nzRows}
-	if t.dense != nil {
-		c.dense = append([]float64(nil), t.dense...)
-		return c
-	}
-	c.rowPtr = append([]int32(nil), t.rowPtr...)
-	c.cols = append([]int32(nil), t.cols...)
-	c.vals = append([]float64(nil), t.vals...)
-	return c
+	return d
 }
 
 // EqualValues reports whether two tiles hold identical values (origin and
@@ -196,8 +188,6 @@ func (t *Tile) EqualValues(o *Tile) bool {
 	if t.P != o.P || t.Row != o.Row || t.Col != o.Col {
 		return false
 	}
-	t.seal()
-	o.seal()
 	if len(t.vals) != len(o.vals) {
 		return false
 	}
@@ -214,18 +204,15 @@ func (t *Tile) EqualValues(o *Tile) bool {
 	return true
 }
 
-// MemoryBytes returns the tile's resident storage (CSR spans or staging
-// buffer), excluding the struct header.
+// MemoryBytes returns the tile's resident CSR storage, excluding the
+// struct header.
 func (t *Tile) MemoryBytes() int64 {
-	if t.dense != nil {
-		return int64(len(t.dense)) * 8
-	}
 	return int64(len(t.rowPtr))*4 + int64(len(t.cols))*4 + int64(len(t.vals))*8
 }
 
 // TileAt extracts the p×p tile of m anchored at (row, col), zero-padded
-// past the matrix boundary. The tile is built sealed, directly from the
-// CSR row spans — O(nnz(tile) + p·log nnz(row)).
+// past the matrix boundary. The tile is built directly from the CSR row
+// spans — O(nnz(tile) + p·log nnz(row)).
 func TileAt(m *CSR, row, col, p int) *Tile {
 	rowPtr := make([]int32, p+1)
 	nzRows := 0

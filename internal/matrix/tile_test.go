@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -8,27 +9,100 @@ import (
 )
 
 func TestTileSetAtNNZ(t *testing.T) {
-	tl := NewTile(4, 0, 0)
-	tl.Set(1, 2, 5)
-	tl.Set(3, 3, -1)
-	if tl.NNZ() != 2 {
-		t.Fatalf("nnz = %d, want 2", tl.NNZ())
+	b := NewTileBuilder(4, 0, 0)
+	b.Set(1, 2, 5)
+	b.Set(3, 3, -1)
+	if tl := b.Tile(); tl.NNZ() != 2 || tl.At(1, 2) != 5 || tl.At(3, 3) != -1 {
+		t.Fatalf("two writes: nnz=%d", tl.NNZ())
 	}
-	tl.Set(1, 2, 0) // clear
-	if tl.NNZ() != 1 || tl.At(1, 2) != 0 {
-		t.Fatalf("clearing entry failed: nnz=%d", tl.NNZ())
+
+	// Last write wins; a zero write empties the cell, and a later
+	// non-zero write fills it again.
+	b.Set(1, 2, 5)
+	b.Set(3, 3, -1)
+	b.Set(1, 2, 0)
+	b.Set(3, 3, 2)
+	b.Set(0, 1, 7)
+	b.Set(0, 1, 0)
+	b.Set(0, 1, 8)
+	tl := b.Tile()
+	if tl.NNZ() != 2 || tl.At(1, 2) != 0 || tl.At(3, 3) != 2 || tl.At(0, 1) != 8 {
+		t.Fatalf("overwrites: nnz=%d (1,2)=%v (3,3)=%v (0,1)=%v",
+			tl.NNZ(), tl.At(1, 2), tl.At(3, 3), tl.At(0, 1))
 	}
-	tl.Set(3, 3, 2) // overwrite non-zero with non-zero
-	if tl.NNZ() != 1 || tl.At(3, 3) != 2 {
-		t.Fatalf("overwrite mis-counted: nnz=%d", tl.NNZ())
+	if tl.RowNNZ(1) != 0 || tl.NonZeroRows() != 2 {
+		t.Fatalf("cleared row still counted: RowNNZ(1)=%d NonZeroRows=%d", tl.RowNNZ(1), tl.NonZeroRows())
+	}
+
+	// NaN is a stored value, not a zero.
+	b.Set(2, 0, math.NaN())
+	if tl := b.Tile(); tl.NNZ() != 1 || !math.IsNaN(tl.At(2, 0)) {
+		t.Fatalf("NaN write: nnz=%d", tl.NNZ())
 	}
 }
 
+func TestTileBuilderOutOfOrder(t *testing.T) {
+	// Rows and columns written in descending order build the same tile
+	// as the ascending row-major writes.
+	up, down := NewTileBuilder(5, 10, 20), NewTileBuilder(5, 10, 20)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 5; j++ {
+			if (i+2*j)%3 != 0 {
+				up.Set(i, j, float64(10*i+j))
+				down.Set(4-i, 4-j, float64(10*(4-i)+4-j))
+			}
+		}
+	}
+	a, b := up.Tile(), down.Tile()
+	if !a.EqualValues(b) {
+		t.Fatal("out-of-order writes built a different tile")
+	}
+	for i := 0; i < 5; i++ {
+		cols, vals := b.RowView(i)
+		for k := range cols {
+			if k > 0 && cols[k] <= cols[k-1] {
+				t.Fatalf("row %d columns not ascending: %v", i, cols)
+			}
+			if vals[k] != float64(10*i+int(cols[k])) {
+				t.Fatalf("(%d,%d) = %v", i, cols[k], vals[k])
+			}
+		}
+	}
+	if a.Row != 10 || a.Col != 20 || a.P != 5 {
+		t.Fatalf("origin (%d,%d) p=%d, want (10,20) p=5", a.Row, a.Col, a.P)
+	}
+}
+
+func TestTileBuilderEmpty(t *testing.T) {
+	tl := NewTileBuilder(3, 0, 0).Tile()
+	if tl.NNZ() != 0 || tl.NonZeroRows() != 0 || tl.MemoryBytes() != 4*4 {
+		t.Fatalf("empty tile: nnz=%d nzRows=%d bytes=%d", tl.NNZ(), tl.NonZeroRows(), tl.MemoryBytes())
+	}
+	for i := 0; i < 3; i++ {
+		if cols, _ := tl.RowView(i); len(cols) != 0 || tl.At(i, i) != 0 {
+			t.Fatalf("empty tile row %d holds %v", i, cols)
+		}
+	}
+	if d := tl.Dense(); len(d) != 9 {
+		t.Fatalf("Dense len = %d, want 9", len(d))
+	}
+}
+
+func TestTileBuilderOutOfRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set outside the tile did not panic")
+		}
+	}()
+	NewTileBuilder(4, 0, 0).Set(0, 4, 1)
+}
+
 func TestTileRowStats(t *testing.T) {
-	tl := NewTile(4, 0, 0)
-	tl.Set(0, 0, 1)
-	tl.Set(0, 3, 1)
-	tl.Set(2, 1, 1)
+	b := NewTileBuilder(4, 0, 0)
+	b.Set(0, 0, 1)
+	b.Set(0, 3, 1)
+	b.Set(2, 1, 1)
+	tl := b.Tile()
 	if tl.RowNNZ(0) != 2 || tl.RowNNZ(1) != 0 || tl.RowNNZ(2) != 1 {
 		t.Fatal("RowNNZ wrong")
 	}
@@ -37,19 +111,6 @@ func TestTileRowStats(t *testing.T) {
 	}
 	if tl.Density() != 3.0/16.0 {
 		t.Fatalf("Density = %v", tl.Density())
-	}
-}
-
-func TestTileClone(t *testing.T) {
-	tl := NewTile(2, 4, 6)
-	tl.Set(0, 1, 9)
-	c := tl.Clone()
-	if !tl.EqualValues(c) {
-		t.Fatal("clone differs")
-	}
-	c.Set(0, 1, 3)
-	if tl.At(0, 1) != 9 {
-		t.Fatal("clone shares storage with original")
 	}
 }
 
