@@ -29,14 +29,19 @@ import (
 //
 // Methodology — unchanged from the single-SpMV path: one untimed warm-up
 // call triggers encode/verify, the resident exec encodings, and the
-// output allocation; the timed phase then takes Runs samples and reports
-// their minimum (the least-disturbed observation of a deterministic
-// computation). Samples shorter than minSample are batched — several
-// kernel invocations per timer read — so clock granularity cannot
-// dominate small matrices (a 60-iteration kernel usually self-batches
-// past the threshold at batch 1). Threads selects the fan-out of each
-// SpMV (1..GOMAXPROCS; the recorded Measurement.Threads is the effective
-// count actually used, 1 when unset).
+// output allocation; the timed phase then takes Runs samples at one
+// batch size and reports their minimum (the least-disturbed observation
+// of a deterministic computation). Samples shorter than minSample are
+// batched — several kernel invocations per timer read — so clock
+// granularity cannot dominate small matrices (a 60-iteration kernel
+// usually self-batches past the threshold at batch 1). The batch size
+// is calibrated by doubling until a pass reaches minSample or maxBatch;
+// that last calibration pass already ran at the final batch size, so it
+// is sample 1 and Runs−1 more follow. A point therefore costs
+// batch×(Runs+1) kernel invocations, warm-up included. Threads selects
+// the fan-out of each SpMV (1..GOMAXPROCS; the recorded
+// Measurement.Threads is the effective count actually used, 1 when
+// unset).
 //
 // Lock ordering: the timed region holds the process-wide measureMu while
 // RunExecInto borrows parked ExecPool workers. The two are independent —
@@ -240,7 +245,8 @@ func (n *Native) Evaluate(ctx context.Context, pl *hlsim.Plan, sc scenario.Spec,
 
 // measure is one attempt at the timed phase: calibrate the batch size,
 // then take runs min-of-k samples, all under the process-wide
-// measurement lock.
+// measurement lock. The calibration pass that settles the batch size
+// already ran at that size, so it is the first of the runs samples.
 func (n *Native) measure(ctx context.Context, pl *hlsim.Plan, k formats.Kind, x []float64, r *hlsim.Result, threads, iters, runs int) (Measurement, error) {
 	if err := ptNativeMeasure.Hit(); err != nil {
 		return Measurement{}, err
@@ -248,38 +254,36 @@ func (n *Native) measure(ctx context.Context, pl *hlsim.Plan, k formats.Kind, x 
 	measureMu.Lock()
 	defer measureMu.Unlock()
 
-	// Calibrate the batch size so one sample is long enough to trust.
-	batch := 1
-	for batch < maxBatch {
+	sample := func(batch int) (time.Duration, error) {
 		if err := ctx.Err(); err != nil {
-			return Measurement{}, err
+			return 0, err
 		}
 		start := time.Now()
 		for i := 0; i < batch; i++ {
 			if err := pl.RunKernelInto(ctx, k, x, r, threads, iters); err != nil {
-				return Measurement{}, err
+				return 0, err
 			}
 		}
-		if time.Since(start) >= minSample {
-			break
-		}
-		batch *= 2
+		return time.Since(start), nil
 	}
 
-	best := time.Duration(1<<63 - 1)
-	for s := 0; s < runs; s++ {
-		if err := ctx.Err(); err != nil {
+	// Calibrate: double the batch until one sample is long enough to
+	// trust or the cap is reached.
+	batch := 1
+	best, err := sample(batch)
+	for err == nil && best < minSample && batch < maxBatch {
+		batch *= 2
+		best, err = sample(batch)
+	}
+	if err != nil {
+		return Measurement{}, err
+	}
+	for s := 1; s < runs; s++ {
+		d, err := sample(batch)
+		if err != nil {
 			return Measurement{}, err
 		}
-		start := time.Now()
-		for i := 0; i < batch; i++ {
-			if err := pl.RunKernelInto(ctx, k, x, r, threads, iters); err != nil {
-				return Measurement{}, err
-			}
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
+		best = min(best, d)
 	}
 	return Measurement{
 		Run:        r,

@@ -8,6 +8,7 @@ import (
 
 	"copernicus/internal/faults"
 	"copernicus/internal/formats"
+	"copernicus/internal/hlsim"
 	"copernicus/internal/resilience"
 	"copernicus/internal/scenario"
 )
@@ -189,5 +190,46 @@ func TestNativeCanceledContextPropagates(t *testing.T) {
 	st := NativeMeasureStats()
 	if st.Breaker.Failures != 0 || st.Degraded != 0 {
 		t.Fatalf("cancellation must not charge the breaker or degrade: %+v", st)
+	}
+}
+
+// TestNativeSampleCount: the calibration pass that settles the batch
+// size is the first timed sample, so one evaluation runs exactly
+// batch×(Runs+1) SpMVs — warm-up 1, calibration 2·batch−1, then Runs−1
+// more samples at that batch — for a power-of-two batch. A zero-delay
+// injection on the exec span point counts the spans without changing
+// the run.
+func TestNativeSampleCount(t *testing.T) {
+	resetMeasure(t)
+	pl := testPlan(t)
+	x := ones(pl.Matrix().Cols)
+	span := faults.Point("hlsim.exec.span")
+
+	span.Arm(faults.Injection{Kind: faults.KindDelay})
+	if err := pl.RunExecInto(formats.CSR, x, new(hlsim.Result), 1); err != nil {
+		t.Fatal(err)
+	}
+	perSpMV := span.Hits()
+	if perSpMV == 0 {
+		t.Fatal("an exec SpMV hit no span")
+	}
+
+	const runs = 3
+	span.Arm(faults.Injection{Kind: faults.KindDelay})
+	m, err := (&Native{Runs: runs}).Evaluate(context.Background(), pl, scenario.MustParse("spmv"), formats.CSR, x)
+	if err != nil {
+		t.Fatalf("Evaluate: %v", err)
+	}
+	if m.Runs != runs {
+		t.Fatalf("Measurement.Runs = %d, want %d", m.Runs, runs)
+	}
+	hits := span.Hits()
+	if hits%perSpMV != 0 {
+		t.Fatalf("%d span hits is not a whole number of %d-span SpMVs", hits, perSpMV)
+	}
+	spmvs := hits / perSpMV
+	batch := spmvs / (runs + 1)
+	if spmvs%(runs+1) != 0 || batch&(batch-1) != 0 {
+		t.Fatalf("evaluation ran %d SpMVs, want batch×(Runs+1) = batch×%d for a power-of-two batch", spmvs, runs+1)
 	}
 }

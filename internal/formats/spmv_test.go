@@ -3,6 +3,7 @@ package formats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"copernicus/internal/matrix"
@@ -198,6 +199,102 @@ func TestKernelsAblationShapes(t *testing.T) {
 			if y[i] != want[i] {
 				t.Fatalf("%s row %d: %v != reference %v", name, i, y[i], want[i])
 			}
+		}
+	}
+}
+
+// bcsrRowOracle is the row-at-a-time BCSR loop that SpMV used for every
+// block edge before the register-blocked b=4 path: each block row is
+// walked once per output row, reloading x for every row. The fast path
+// is held bit-identical to it.
+func bcsrRowOracle(e *BCSREnc, x, y []float64) {
+	b := e.b
+	start := int32(0)
+	for bi := 0; bi < len(e.offsets); bi++ {
+		end := e.offsets[bi]
+		if end > start {
+			r0 := bi * b
+			rmax := min(b, len(y)-r0)
+			for r := 0; r < rmax; r++ {
+				s := 0.0
+				for blk := start; blk < end; blk++ {
+					c0 := int(e.colIdx[blk])
+					base := int(blk)*b*b + r*b
+					for j := 0; j < min(b, len(x)-c0); j++ {
+						s += e.vals[base+j] * x[c0+j]
+					}
+				}
+				y[r0+r] += s
+			}
+		}
+		start = end
+	}
+}
+
+// TestBCSRFastPathBitIdentical holds the register-blocked 4×4 kernel to
+// the row-at-a-time oracle bit for bit, on a nonzero starting y, for a
+// finite operand and for one carrying +Inf and NaN: the explicit zeros
+// stored inside a block turn Inf into NaN, and both kernels must do so
+// in the same rows.
+func TestBCSRFastPathBitIdentical(t *testing.T) {
+	for _, p := range []int{16, 64, 128} {
+		for _, d := range []float64{0.02, 0.06, 0.3, 1.0} {
+			t.Run(fmt.Sprintf("p=%d/d=%g", p, d), func(t *testing.T) {
+				enc := Encode(BCSR, randomTile(uint64(p)+uint64(d*1000), p, d)).(*BCSREnc)
+				if enc.Blocks() == 0 {
+					t.Fatal("empty tile; pick another seed")
+				}
+				finite := testOperand(p, 51)
+				// Aim the non-finite entries at columns stored blocks
+				// cover, so the explicit zeros beside them meet Inf.
+				nonFinite := append([]float64(nil), finite...)
+				nonFinite[enc.colIdx[0]+1] = math.Inf(1)
+				nonFinite[enc.colIdx[enc.Blocks()-1]+2] = math.NaN()
+				y0 := testOperand(p, 52)
+				for _, x := range [][]float64{finite, nonFinite} {
+					want := append([]float64(nil), y0...)
+					bcsrRowOracle(enc, x, want)
+					got := append([]float64(nil), y0...)
+					enc.SpMV(x, got)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("row %d: %v (%#x) != oracle %v (%#x)", i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+						}
+					}
+				}
+				nan := make([]float64, p)
+				enc.SpMV(nonFinite, nan)
+				if !slices.ContainsFunc(nan, math.IsNaN) {
+					t.Fatal("no row met a non-finite operand; the case is vacuous")
+				}
+			})
+		}
+	}
+}
+
+// kernelSink keeps the benchmarked kernel's output live.
+var kernelSink float64
+
+// BenchmarkKernelSpMV times one warm Encoded.SpMV per format on a single
+// p=64 tile, reported per stored non-zero: the per-kernel before/after
+// figure without any runner, span or pool overhead around it.
+func BenchmarkKernelSpMV(b *testing.B) {
+	const p = 64
+	for _, d := range []float64{0.06, 0.3} {
+		tile := randomTile(61, p, d)
+		x := testOperand(p, 62)
+		for _, k := range All() {
+			enc := Encode(k, tile)
+			b.Run(fmt.Sprintf("d=%g/%v", d, k), func(b *testing.B) {
+				y := make([]float64, p)
+				enc.SpMV(x, y)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					enc.SpMV(x, y)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tile.NNZ()), "ns/nnz")
+				kernelSink = y[0]
+			})
 		}
 	}
 }
