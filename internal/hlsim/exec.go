@@ -72,85 +72,19 @@ type planExec struct {
 	bytes int64
 }
 
-// exec returns the cached executable state for format k, building it at
-// most once per (plan, format) under the slot's exec leader guard — the
-// same cancellation-safe discipline as format and verify: a canceled
-// leader publishes nothing and the next caller rebuilds cleanly.
+// exec returns format k's executable state, built at most once per
+// (plan, format) under the slot's exec guard. A canceled or faulted
+// build publishes nothing, so the next caller rebuilds from scratch.
 func (pl *Plan) exec(ctx context.Context, k formats.Kind) (*planExec, error) {
-	slot := &pl.fmts[k]
-	for {
-		if ex := slot.ex.Load(); ex != nil {
-			return ex, nil
-		}
-		slot.mu.Lock()
-		if ex := slot.ex.Load(); ex != nil {
-			slot.mu.Unlock()
-			return ex, nil
-		}
-		if w := slot.exWait; w != nil {
-			slot.mu.Unlock()
-			select {
-			case <-w:
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		w := make(chan struct{})
-		slot.exWait = w
-		slot.mu.Unlock()
-
-		ex, err := pl.buildExec(ctx, k)
-		slot.mu.Lock()
-		slot.exWait = nil
-		if err == nil {
-			slot.ex.Store(ex)
-		}
-		slot.mu.Unlock()
-		close(w)
-		if err != nil {
-			return nil, err // canceled mid-build; slot stays idle
-		}
-		return ex, nil
-	}
+	return pl.fmts[k].exec.do(ctx, func() (*planExec, error) { return pl.buildExec(ctx, k) })
 }
 
 // buildExec re-encodes every non-zero tile in format k for resident
-// kernel use, chunk-claimed across the caller plus any free encode-pool
-// helpers (fanOut), with cancellation checked between chunks. Worker
-// panics and injected faults abort the build unpublished, exactly like a
-// cancellation (see encodeFormat).
+// kernel use, fanned out over eachTile.
 func (pl *Plan) buildExec(ctx context.Context, k formats.Kind) (*planExec, error) {
 	tiles := pl.pt.Tiles
-	n := len(tiles)
-	ex := &planExec{encs: make([]formats.Encoded, n)}
-	var next atomic.Int64
-	var fail atomic.Pointer[error]
-	work := func() {
-		defer func() {
-			if pe := resilience.Recovered(ptExecBuild.Name(), recover()); pe != nil {
-				storeFirst(&fail, pe)
-			}
-		}()
-		for ctx.Err() == nil && fail.Load() == nil {
-			lo := int(next.Add(encodeChunk)) - encodeChunk
-			if lo >= n {
-				return
-			}
-			for i := lo; i < min(lo+encodeChunk, n); i++ {
-				if err := ptExecBuild.Hit(); err != nil {
-					storeFirst(&fail, err)
-					return
-				}
-				ex.encs[i] = formats.Encode(k, tiles[i])
-			}
-		}
-	}
-	pl.fanOut(work, n)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := loadErr(&fail); err != nil {
+	ex := &planExec{encs: make([]formats.Encoded, len(tiles))}
+	if err := pl.eachTile(ctx, ptExecBuild, func(i int) { ex.encs[i] = formats.Encode(k, tiles[i]) }); err != nil {
 		return nil, err
 	}
 	for _, enc := range ex.encs {
@@ -339,11 +273,7 @@ func (pl *Plan) RunExecIntoContext(ctx context.Context, k formats.Kind, x []floa
 	if threads < 1 {
 		return fmt.Errorf("hlsim: RunExecInto with %d threads", threads)
 	}
-	if len(x) != pl.m.Cols {
-		return fmt.Errorf("hlsim: vector length %d for %d-column matrix", len(x), pl.m.Cols)
-	}
-	pf, err := pl.verify(ctx, k)
-	if err != nil {
+	if err := pl.begin(ctx, k, x, r, "RunExecInto"); err != nil {
 		return err
 	}
 	ex, err := pl.exec(ctx, k)
@@ -351,39 +281,11 @@ func (pl *Plan) RunExecIntoContext(ctx context.Context, k formats.Kind, x []floa
 		return err
 	}
 	pl.ensureSpans()
-	y := r.Y
-	if cap(y) < pl.m.Rows {
-		y = make([]float64, pl.m.Rows)
-	} else {
-		if slicesOverlap(x, y[:cap(y)]) {
-			return fmt.Errorf("hlsim: RunExecInto input x overlaps the reused r.Y buffer; use a second Result to feed an output back in")
-		}
-		y = y[:pl.m.Rows]
-		// No global clear: every span clears its own y range, and the
-		// spans cover [0, rows) including all-zero block rows.
-	}
-	*r = Result{
-		Kind:              k,
-		P:                 pl.p,
-		Y:                 y,
-		NonZeroTiles:      len(pl.pt.Tiles),
-		TotalTiles:        pl.pt.TotalTiles,
-		MemCycles:         pf.agg.MemCycles,
-		ComputeCycles:     pf.agg.ComputeCycles,
-		DecompCycles:      pf.agg.DecompCycles,
-		PipelinedCycles:   pf.agg.PipelinedCycles,
-		IdleComputeCycles: pf.agg.IdleComputeCycles,
-		StallMemCycles:    pf.agg.StallMemCycles,
-		DotRows:           pf.agg.DotRows,
-		NNZ:               pf.agg.NNZ,
-		Footprint:         pf.agg.Footprint,
-		sumBalance:        pf.agg.sumBalance,
-		cfg:               pl.cfg,
-	}
-
+	// No clear here: every span clears its own y range, and the spans
+	// cover [0, rows) including all-zero block rows.
 	job := execJobPool.Get().(*execJob)
 	job.encs, job.tiles, job.spans = ex.encs, pl.pt.Tiles, pl.spans
-	job.x, job.y = x, y
+	job.x, job.y = x, r.Y
 	job.done = ctx.Done()
 	job.next.Store(0)
 	job.failed.Store(false)

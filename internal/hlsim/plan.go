@@ -9,29 +9,31 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"copernicus/internal/faults"
 	"copernicus/internal/formats"
 	"copernicus/internal/matrix"
 	"copernicus/internal/resilience"
 )
 
 // Plan is an encode-once streaming plan: one matrix partitioned at one
-// partition size, with per-format encodings, cycle costs, and the
-// decode-and-verify cross-check each performed exactly once and cached.
-// Every entry point of the package (Run, RunParallel, RunSpMM, Trace,
-// BuildSchedule) is a thin wrapper over a transient plan; callers that
-// stream the same matrix repeatedly — iterative kernels, characterization
-// sweeps — hold a Plan so each SpMV pays only the per-iteration dot work.
+// partition size, with each format's encodings, cycle costs and
+// decode-and-verify cross-check computed at most once and cached. The
+// package's one-shot functions (Run, RunParallel, RunSpMM, Trace,
+// BuildSchedule) each build a transient plan; callers that stream the
+// same matrix repeatedly — iterative kernels, characterization sweeps —
+// hold a Plan so each SpMV pays only the per-iteration dot work.
 //
 // The plan is sparse-native end to end: the partitioning stores compact
-// per-tile CSR spans (O(nnz) resident, never p² buffers), the functional
-// rows/cols/vals arrays are copied straight out of those spans, and each
-// format's encoder walks the sparse tile in O(nnz + p).
+// per-tile CSR spans (O(nnz) resident, never p² buffers), each format's
+// encoder walks the sparse tile in O(nnz + p), and the reference SpMV's
+// rows are gathered from those spans on first use.
 //
-// Format state is guarded per format (one once-guard per Kind for encode
-// and another for verify), so concurrent consumers characterizing
-// different formats on one plan never serialize against each other; a
-// format's tiles can additionally be encoded on a bounded worker pool
-// (SetWorkers) with deterministic, tile-ordered aggregation.
+// Each format warms up in three lazy phases — encode, decode-verify and
+// exec build — each behind its own cancellation-safe once-guard, so
+// different formats warm concurrently and a warm run takes no lock. The
+// encode and exec-build phases can fan their tiles out over a bounded
+// encode pool (SetWorkers, SetEncodePool) with deterministic,
+// tile-ordered aggregation.
 //
 // A Plan is safe for concurrent use.
 type Plan struct {
@@ -72,43 +74,20 @@ type Plan struct {
 	fmts    [formats.NumKinds]planSlot
 }
 
-// planSlot is one format's cached state: separate leader/waiter guards
-// for the encode and verify phases (replacing the old plan-wide mutex
-// that serialized every format behind whichever encode ran first) and an
-// atomically published result so stats readers never race the encode.
-//
-// Unlike a sync.Once, the guards are cancellation-safe: a leader whose
-// context is canceled mid-phase abandons the slot *unpublished* — no
-// half-encoded state is ever visible — and the next caller (or a waiter
-// that was parked on the aborted leader) re-runs the phase from scratch
-// under its own context. Completed phases, including sticky model
-// errors, are published exactly once and never re-run.
+// planSlot is one format's cached state, one phase guard per warm-up
+// phase. enc and ver publish the same *planFormat: enc once every tile
+// is encoded and priced, ver once the encodings have been cross-checked.
+// exec publishes the resident re-encodings RunExecInto walks.
 type planSlot struct {
-	mu sync.Mutex
-	// encWait is non-nil while a leader encodes; waiters park on it and
-	// re-check the slot when it closes (completion or abort).
-	encWait chan struct{}
-	// pf is published only by a leader that completed the encode (with
-	// results or a sticky model error), never by a canceled one.
-	pf atomic.Pointer[planFormat]
-	// verWait/verified play the same roles for the decode-and-verify
-	// phase; sticky verify errors live in pf.
-	verWait  chan struct{}
-	verified bool
-	// exWait/ex play the same roles for the executable-kernel phase: ex
-	// holds the resident encodings the RunExecInto path walks (rebuilt
-	// fresh, since verify frees the warmup encodings). Published only by
-	// a leader that completed the build; a canceled leader leaves the
-	// slot idle for the next caller.
-	exWait chan struct{}
-	ex     atomic.Pointer[planExec]
+	enc, ver phase[planFormat]
+	exec     phase[planExec]
 }
 
 // planFormat caches everything format-dependent: per-tile cycle costs,
 // the aggregated Result totals, and the outcome of the one-time
 // decode-and-verify cross-check (run on first functional use, not for
 // cycle-model-only consumers like Trace and Schedule). tiles and agg are
-// immutable once published; encs is consumed under the verify once-guard.
+// immutable once published; encs is consumed under the verify guard.
 type planFormat struct {
 	tiles []TileResult
 	agg   formatAgg
@@ -116,19 +95,12 @@ type planFormat struct {
 	// (freed afterwards); one-shot cycle-model consumers drop the whole
 	// plan, so nothing lingers.
 	encs []formats.Encoded
-	// verifyErr is the sticky decode/cross-check failure, published
+	// sticky is the first model or decode/cross-check failure, published
 	// atomically so format() readers can observe it without locking.
-	verifyErr atomic.Pointer[error]
+	sticky atomic.Pointer[error]
 }
 
-func (pf *planFormat) err() error {
-	if ep := pf.verifyErr.Load(); ep != nil {
-		return *ep
-	}
-	return nil
-}
-
-func (pf *planFormat) setErr(err error) { pf.verifyErr.Store(&err) }
+func (pf *planFormat) err() error { return loadErr(&pf.sticky) }
 
 // formatAgg carries the Result totals aggregated over all non-zero tiles.
 type formatAgg struct {
@@ -232,10 +204,10 @@ func (pl *Plan) SetEncodePool(p *EncodePool) { pl.encPool.Store(p) }
 func (pl *Plan) MemoryBytes() int64 {
 	b := pl.ptBytes + pl.rowsBytes.Load()
 	for i := range pl.fmts {
-		if pf := pl.fmts[i].pf.Load(); pf != nil {
+		if pf := pl.fmts[i].enc.val.Load(); pf != nil {
 			b += int64(len(pf.tiles)) * int64(unsafe.Sizeof(TileResult{}))
 		}
-		if ex := pl.fmts[i].ex.Load(); ex != nil {
+		if ex := pl.fmts[i].exec.val.Load(); ex != nil {
 			b += ex.bytes
 		}
 	}
@@ -282,60 +254,22 @@ func (pl *Plan) ensureRows() {
 	})
 }
 
-// format returns the cached per-format state, encoding and pricing every
-// non-zero tile exactly once per format — under that format's own
-// leader guard, so distinct formats warm concurrently. It does not run
-// the decode cross-check; see verify. A Kind outside the implemented
-// range is an ErrUnknownFormat error, not a panic, so it propagates
-// through every engine sweep to callers (and services) as a client fault.
-//
-// Cancellation discipline: a canceled ctx aborts the warmup between
-// tile-encode chunks and returns ctx.Err(). If the canceled caller was
-// the encode leader, the slot is left idle (never half-encoded), so a
-// later characterization of the same format on this cached plan re-runs
-// the encode cleanly; if it was a waiter, the leader is unaffected.
+// format returns format k's encoded and priced state, built at most once
+// per (plan, format) under the slot's enc guard, without the decode
+// cross-check (see verify). A Kind outside the implemented range is an
+// ErrUnknownFormat error, not a panic, so it reaches engine sweeps and
+// services as a client fault. A sticky model error is returned with the
+// state. A canceled or faulted encode returns its error and leaves the
+// slot idle, so the next caller encodes from scratch.
 func (pl *Plan) format(ctx context.Context, k formats.Kind) (*planFormat, error) {
 	if k < 0 || int(k) >= formats.NumKinds {
 		return nil, fmt.Errorf("%w: kind %d", ErrUnknownFormat, int(k))
 	}
-	slot := &pl.fmts[k]
-	for {
-		if pf := slot.pf.Load(); pf != nil {
-			return pf, pf.err()
-		}
-		slot.mu.Lock()
-		if pf := slot.pf.Load(); pf != nil {
-			slot.mu.Unlock()
-			return pf, pf.err()
-		}
-		if w := slot.encWait; w != nil {
-			slot.mu.Unlock()
-			select {
-			case <-w:
-				// The leader finished or aborted; re-check the slot (and
-				// become the next leader if it aborted).
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		w := make(chan struct{})
-		slot.encWait = w
-		slot.mu.Unlock()
-
-		pf, err := pl.encodeFormat(ctx, k)
-		slot.mu.Lock()
-		slot.encWait = nil
-		if err == nil {
-			slot.pf.Store(pf)
-		}
-		slot.mu.Unlock()
-		close(w)
-		if err != nil {
-			return nil, err // canceled mid-encode; slot stays idle
-		}
-		return pf, pf.err()
+	pf, err := pl.fmts[k].enc.do(ctx, func() (*planFormat, error) { return pl.encodeFormat(ctx, k) })
+	if err != nil {
+		return nil, err
 	}
+	return pf, pf.err()
 }
 
 // Tile-parallel warmup tuning: chunks of tiles are claimed atomically so
@@ -345,66 +279,28 @@ const (
 	minParallelTiles = 2 * encodeChunk
 )
 
-// encodeFormat encodes and prices every non-zero tile in format k. With
-// an encode pool installed, tiles are claimed in chunks by the caller
-// plus however many pool helpers are free right now, into
-// index-addressed slots; aggregation always runs serially in tile order,
-// so the totals (including the float balance sum) are bit-identical to a
-// serial encode. Cancellation is checked between chunks (by the caller
-// and every helper); a canceled encode returns ctx.Err() and the partial
-// planFormat is discarded by the caller, never published.
-//
-// Fault containment: a panic in any worker (encoder invariant violation,
-// injected chaos fault) is recovered into a *resilience.PanicError and —
-// like an injected error — aborts the encode. The caller treats it
-// exactly as a cancellation: the partial planFormat is never published,
-// so a retry re-runs the encode from scratch and the result is
-// bit-identical to a fault-free run. Pool helpers release their tokens
-// through fanOut's defers either way.
+// encodeFormat encodes and prices every non-zero tile in format k into
+// index-addressed slots (eachTile), then aggregates serially in tile
+// order, so the totals, the float balance sum included, are
+// bit-identical to a serial encode. A canceled or faulted encode returns
+// the error and its partial planFormat is discarded, never published.
 func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, error) {
 	if planEncodeHook != nil {
 		planEncodeHook(k)
 	}
 	tiles := pl.pt.Tiles
-	n := len(tiles)
-	pf := &planFormat{tiles: make([]TileResult, n), encs: make([]formats.Encoded, n)}
-	var next atomic.Int64
-	var fail atomic.Pointer[error]
-	work := func() {
-		defer func() {
-			if pe := resilience.Recovered(ptEncodeTile.Name(), recover()); pe != nil {
-				storeFirst(&fail, pe)
-			}
-		}()
-		for ctx.Err() == nil && fail.Load() == nil {
-			lo := int(next.Add(encodeChunk)) - encodeChunk
-			if lo >= n {
-				return
-			}
-			for i := lo; i < min(lo+encodeChunk, n); i++ {
-				if err := ptEncodeTile.Hit(); err != nil {
-					storeFirst(&fail, err)
-					return
-				}
-				enc := formats.Encode(k, tiles[i])
-				pf.encs[i] = enc
-				tr, err := RunTile(pl.cfg, enc)
-				if err != nil {
-					// Unreachable for in-range Kinds (format() guards the
-					// range), but a model gap must surface as the slot's
-					// sticky error, never a panic in a worker goroutine.
-					pf.setErr(err)
-					return
-				}
-				pf.tiles[i] = tr
-			}
+	pf := &planFormat{tiles: make([]TileResult, len(tiles)), encs: make([]formats.Encoded, len(tiles))}
+	err := pl.eachTile(ctx, ptEncodeTile, func(i int) {
+		pf.encs[i] = formats.Encode(k, tiles[i])
+		tr, err := RunTile(pl.cfg, pf.encs[i])
+		if err != nil {
+			// Unreachable for in-range Kinds (format guards the range), but
+			// a model gap must surface as the slot's sticky error.
+			storeFirst(&pf.sticky, err)
 		}
-	}
-	pl.fanOut(work, n)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := loadErr(&fail); err != nil {
+		pf.tiles[i] = tr
+	})
+	if err != nil {
 		return nil, err
 	}
 	if pf.err() != nil {
@@ -432,88 +328,84 @@ func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, 
 	return pf, nil
 }
 
-// fanOut runs the chunk-claiming work function on the calling goroutine
-// plus however many encode-pool helpers are free right now, for a task of
-// n tiles. Work functions claim chunks from a shared atomic counter, so
-// helper count only affects wall time, never results. With no pool, a
-// drained pool, or a tiny tile count the caller works alone. Both the
-// encode warmup and the exec-state build (exec.go) share this borrowing,
-// so total extra goroutines across concurrent sweep groups stay bounded
-// by the pool size.
-func (pl *Plan) fanOut(work func(), n int) {
-	pool := pl.encPool.Load()
-	if pool == nil || n < minParallelTiles {
-		work()
-		return
+// eachTile calls fn(i) once for every tile index i, on the calling
+// goroutine plus however many encode-pool helpers are free right now
+// (none without a pool or below minParallelTiles tiles). Participants
+// claim chunks of encodeChunk tiles from a shared counter, so the helper
+// count changes only wall time, provided fn writes only state addressed
+// by i. Each participant checks ctx, and whether another has failed,
+// between chunks and hits point before every tile; a panic in fn is
+// recovered as a *resilience.PanicError named after point. eachTile
+// returns ctx.Err(), else the first fault, else nil, and every borrowed
+// pool token is returned either way. Sharing one pool across plans
+// bounds the extra goroutines of concurrent warm-ups by its size.
+func (pl *Plan) eachTile(ctx context.Context, point *faults.P, fn func(i int)) error {
+	n := len(pl.pt.Tiles)
+	var next atomic.Int64
+	var fail atomic.Pointer[error]
+	work := func() {
+		defer func() {
+			if pe := resilience.Recovered(point.Name(), recover()); pe != nil {
+				storeFirst(&fail, pe)
+			}
+		}()
+		for ctx.Err() == nil && fail.Load() == nil {
+			lo := int(next.Add(encodeChunk)) - encodeChunk
+			if lo >= n {
+				return
+			}
+			for i := lo; i < min(lo+encodeChunk, n); i++ {
+				if err := point.Hit(); err != nil {
+					storeFirst(&fail, err)
+					return
+				}
+				fn(i)
+			}
+		}
 	}
 	var wg sync.WaitGroup
-	maxHelpers := min(cap(pool.tokens), n/encodeChunk-1)
-borrow:
-	for h := 0; h < maxHelpers; h++ {
-		select {
-		case pool.tokens <- struct{}{}: // a helper slot is free now
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-pool.tokens }()
-				work()
-			}()
-		default:
-			break borrow // pool busy: the caller works alone
+	if pool := pl.encPool.Load(); pool != nil && n >= minParallelTiles {
+	borrow:
+		for h := min(cap(pool.tokens), n/encodeChunk-1); h > 0; h-- {
+			select {
+			case pool.tokens <- struct{}{}: // a helper slot is free now
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { <-pool.tokens }()
+					work()
+				}()
+			default:
+				break borrow // pool busy: the caller works alone
+			}
 		}
 	}
 	work()
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return loadErr(&fail)
 }
 
-// verify returns the cached per-format state after the decode-and-verify
-// cross-check, hoisted to once per (format, plan): the encoded streams
-// must decode back to the original tile, so any stream corruption
-// surfaces here rather than as a silently wrong SpMV. Functional entry
-// points (Run, RunParallel, RunSpMM) call it; cycle-model-only consumers
-// (Trace, Schedule) skip it, as the pre-plan one-shots did.
-//
-// Like format, verify is cancellation-safe: a leader canceled between
-// tiles leaves the encodings unconsumed and the slot unverified, so a
-// later caller re-runs the cross-check in full. Panics and injected
-// faults follow the same discipline — the slot is abandoned unverified
-// and the failure propagates as an error.
+// verify returns format k's state after the decode-and-verify
+// cross-check, run at most once per (plan, format) under the slot's ver
+// guard: every encoding must decode back to its tile, so stream
+// corruption surfaces as a sticky error here rather than as a silently
+// wrong SpMV. Functional entry points call it; cycle-model-only
+// consumers (Trace, Schedule) call format alone. A canceled or faulted
+// cross-check leaves the encodings unconsumed and the slot unverified,
+// so the next caller re-runs it in full.
 func (pl *Plan) verify(ctx context.Context, k formats.Kind) (*planFormat, error) {
 	pf, err := pl.format(ctx, k)
 	if err != nil {
 		return pf, err
 	}
-	slot := &pl.fmts[k]
-	for {
-		slot.mu.Lock()
-		if slot.verified {
-			slot.mu.Unlock()
-			return pf, pf.err()
-		}
-		if w := slot.verWait; w != nil {
-			slot.mu.Unlock()
-			select {
-			case <-w:
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		w := make(chan struct{})
-		slot.verWait = w
-		slot.mu.Unlock()
-
-		verr := pl.runVerify(ctx, k, pf)
-		slot.mu.Lock()
-		slot.verWait = nil
-		slot.verified = verr == nil
-		slot.mu.Unlock()
-		close(w)
-		if verr != nil {
-			return nil, verr
-		}
-		return pf, pf.err()
+	vf, err := pl.fmts[k].ver.do(ctx, func() (*planFormat, error) { return pf, pl.runVerify(ctx, k, pf) })
+	if err != nil {
+		return nil, err
 	}
+	return vf, vf.err()
 }
 
 // runVerify cross-checks every tile's encoding. A nil return means the
@@ -538,11 +430,11 @@ func (pl *Plan) runVerify(ctx context.Context, k formats.Kind, pf *planFormat) (
 		}
 		dec, err := encs[ti].Decode()
 		if err != nil {
-			pf.setErr(fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err))
+			storeFirst(&pf.sticky, fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err))
 			break
 		}
 		if err := crossCheck(k, tile, dec); err != nil {
-			pf.setErr(err)
+			storeFirst(&pf.sticky, err)
 			break
 		}
 	}
@@ -637,9 +529,25 @@ func (pl *Plan) RunInto(k formats.Kind, x []float64, r *Result) error {
 }
 
 // RunIntoContext is RunInto under a context; see RunContext for the
-// cancellation semantics. The warm path is unchanged: zero allocations
-// and no context checks once the format's encode and verify are cached.
+// cancellation semantics. Once the format's encode and verify are
+// cached, a call performs zero allocations, takes no lock and checks no
+// context.
 func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64, r *Result) error {
+	if err := pl.begin(ctx, k, x, r, "RunInto"); err != nil {
+		return err
+	}
+	clear(r.Y)
+	pl.spmv(x, r.Y)
+	return nil
+}
+
+// begin is the prologue shared by RunIntoContext and RunExecIntoContext
+// (who names the caller in errors): it checks x's length, verifies
+// format k, sizes r.Y to the row count — reusing its storage when the
+// capacity suffices, after rejecting an x that overlaps it — and fills
+// r's model fields from the cached aggregates. r.Y's contents are left
+// to the caller.
+func (pl *Plan) begin(ctx context.Context, k formats.Kind, x []float64, r *Result, who string) error {
 	if len(x) != pl.m.Cols {
 		return fmt.Errorf("hlsim: vector length %d for %d-column matrix", len(x), pl.m.Cols)
 	}
@@ -650,17 +558,13 @@ func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64,
 	y := r.Y
 	if cap(y) < pl.m.Rows {
 		y = make([]float64, pl.m.Rows)
-	} else {
-		if slicesOverlap(x, y[:cap(y)]) {
-			return fmt.Errorf("hlsim: RunInto input x overlaps the reused r.Y buffer; use a second Result to feed an output back in")
-		}
-		y = y[:pl.m.Rows]
-		clear(y)
+	} else if slicesOverlap(x, y[:cap(y)]) {
+		return fmt.Errorf("hlsim: %s input x overlaps the reused r.Y buffer; use a second Result to feed an output back in", who)
 	}
 	*r = Result{
 		Kind:              k,
 		P:                 pl.p,
-		Y:                 y,
+		Y:                 y[:pl.m.Rows],
 		NonZeroTiles:      len(pl.pt.Tiles),
 		TotalTiles:        pl.pt.TotalTiles,
 		MemCycles:         pf.agg.MemCycles,
@@ -675,7 +579,6 @@ func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64,
 		sumBalance:        pf.agg.sumBalance,
 		cfg:               pl.cfg,
 	}
-	pl.spmv(x, y)
 	return nil
 }
 

@@ -208,3 +208,47 @@ func TestPlanRunIntoRejectsOverlappingInput(t *testing.T) {
 		t.Fatal("offset-overlapping x accepted; the input would have been partially zeroed")
 	}
 }
+
+// TestWarmRunTakesNoLock: once a format is warm, RunInto and RunExecInto
+// never touch its phase guards' mutexes — the hot path is lock-free.
+// Every guard of the slot is held while the warm runs execute; a run
+// that needed one would block until the bounded wait expires.
+func TestWarmRunTakesNoLock(t *testing.T) {
+	m := gen.Random(128, 0.05, 97)
+	pl, err := NewPlan(Default(), m, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := testVectorFor(m.Cols)
+	for _, k := range formats.All() {
+		var r Result
+		if err := pl.RunExecInto(k, x, &r, 2); err != nil {
+			t.Fatalf("%v: warm-up: %v", k, err)
+		}
+		slot := &pl.fmts[k]
+		locks := []*sync.Mutex{&slot.enc.mu, &slot.ver.mu, &slot.exec.mu}
+		for _, mu := range locks {
+			mu.Lock()
+		}
+		done := make(chan error, 1)
+		go func() {
+			var r1, r2 Result
+			err := pl.RunInto(k, x, &r1)
+			if err == nil {
+				err = pl.RunExecInto(k, x, &r2, 2)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%v: warm run: %v", k, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%v: warm run blocked on a phase mutex", k)
+		}
+		for _, mu := range locks {
+			mu.Unlock()
+		}
+	}
+}

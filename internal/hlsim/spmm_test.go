@@ -1,6 +1,7 @@
 package hlsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -107,5 +108,30 @@ func TestSpMMRejectsBadInput(t *testing.T) {
 	}
 	if _, err := RunSpMM(Default(), m, formats.CSR, 8, make([]float64, 10), 2); err == nil {
 		t.Fatal("short operand accepted")
+	}
+}
+
+// TestSpMMCyclesMatchesRunSpMM: the cost-only SpMMCycles prices a point
+// exactly as the functional RunSpMM does, for every format and width.
+func TestSpMMCyclesMatchesRunSpMM(t *testing.T) {
+	m := gen.Random(96, 0.08, 11)
+	pl, err := NewPlan(Default(), m, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range formats.All() {
+		for _, cols := range []int{1, 3, 8} {
+			res, err := pl.RunSpMM(k, denseOperand(m.Cols, cols, 13), cols)
+			if err != nil {
+				t.Fatalf("%v cols=%d: %v", k, cols, err)
+			}
+			got, err := pl.SpMMCycles(context.Background(), k, cols)
+			if err != nil {
+				t.Fatalf("%v cols=%d: %v", k, cols, err)
+			}
+			if got != res.PipelinedCycles {
+				t.Fatalf("%v cols=%d: SpMMCycles = %d, RunSpMM.PipelinedCycles = %d", k, cols, got, res.PipelinedCycles)
+			}
+		}
 	}
 }
