@@ -91,7 +91,10 @@ func (e *BCSREnc) BlockRowRange(bi int) (start, end int32) {
 }
 
 // Decode implements Encoded.
-func (e *BCSREnc) Decode() (*matrix.Tile, error) {
+func (e *BCSREnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *BCSREnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	nb := e.p / e.b
 	if len(e.offsets) != nb {
 		return nil, corruptf("bcsr: %d offsets for p=%d b=%d", len(e.offsets), e.p, e.b)
@@ -102,7 +105,7 @@ func (e *BCSREnc) Decode() (*matrix.Tile, error) {
 	if int(e.offsets[nb-1]) != len(e.colIdx) {
 		return nil, corruptf("bcsr: final offset %d vs %d blocks", e.offsets[nb-1], len(e.colIdx))
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	prev := int32(0)
 	for bi := 0; bi < nb; bi++ {
 		if e.offsets[bi] < prev {
@@ -127,7 +130,7 @@ func (e *BCSREnc) Decode() (*matrix.Tile, error) {
 		}
 		prev = e.offsets[bi]
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded. The explicit zeros inside stored blocks

@@ -56,14 +56,17 @@ func (e *COOEnc) Cols() []int32 { return e.cols }
 func (e *COOEnc) Values() []float64 { return e.vals }
 
 // Decode implements Encoded.
-func (e *COOEnc) Decode() (*matrix.Tile, error) {
+func (e *COOEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *COOEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.rows) != len(e.cols) || len(e.rows) != len(e.vals) {
 		return nil, corruptf("coo: stream lengths differ: %d/%d/%d", len(e.rows), len(e.cols), len(e.vals))
 	}
 	if len(e.rows) == 0 || e.rows[len(e.rows)-1] != cooSentinel {
 		return nil, corruptf("coo: missing sentinel tuple")
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	for k := 0; k < len(e.rows)-1; k++ {
 		i, j := e.rows[k], e.cols[k]
 		if i < 0 || int(i) >= e.p || j < 0 || int(j) >= e.p {
@@ -74,7 +77,7 @@ func (e *COOEnc) Decode() (*matrix.Tile, error) {
 		}
 		b.Set(int(i), int(j), e.vals[k])
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded. Only real tuples travel — the AXI burst

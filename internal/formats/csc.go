@@ -72,7 +72,10 @@ func (e *CSCEnc) ColRange(j int) (start, end int32) {
 }
 
 // Decode implements Encoded.
-func (e *CSCEnc) Decode() (*matrix.Tile, error) {
+func (e *CSCEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *CSCEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.offsets) != e.p {
 		return nil, corruptf("csc: %d offsets for p=%d", len(e.offsets), e.p)
 	}
@@ -82,7 +85,7 @@ func (e *CSCEnc) Decode() (*matrix.Tile, error) {
 	if int(e.offsets[e.p-1]) != len(e.vals) {
 		return nil, corruptf("csc: final offset %d vs %d values", e.offsets[e.p-1], len(e.vals))
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	prev := int32(0)
 	for j := 0; j < e.p; j++ {
 		if e.offsets[j] < prev {
@@ -100,7 +103,7 @@ func (e *CSCEnc) Decode() (*matrix.Tile, error) {
 		}
 		prev = e.offsets[j]
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded.

@@ -65,7 +65,10 @@ func (e *CSREnc) RowRange(i int) (start, end int32) {
 }
 
 // Decode implements Encoded.
-func (e *CSREnc) Decode() (*matrix.Tile, error) {
+func (e *CSREnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *CSREnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.offsets) != e.p {
 		return nil, corruptf("csr: %d offsets for p=%d", len(e.offsets), e.p)
 	}
@@ -75,7 +78,7 @@ func (e *CSREnc) Decode() (*matrix.Tile, error) {
 	if int(e.offsets[e.p-1]) != len(e.vals) {
 		return nil, corruptf("csr: final offset %d vs %d values", e.offsets[e.p-1], len(e.vals))
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	prev := int32(0)
 	for i := 0; i < e.p; i++ {
 		if e.offsets[i] < prev {
@@ -93,7 +96,7 @@ func (e *CSREnc) Decode() (*matrix.Tile, error) {
 		}
 		prev = e.offsets[i]
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded. Values ride the value lane; column indices

@@ -30,11 +30,14 @@ func (e *DenseEnc) P() int { return e.p }
 func (e *DenseEnc) Values() []float64 { return e.val }
 
 // Decode implements Encoded.
-func (e *DenseEnc) Decode() (*matrix.Tile, error) {
+func (e *DenseEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *DenseEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.val) != e.p*e.p {
 		return nil, corruptf("dense: %d values for p=%d", len(e.val), e.p)
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	for i := 0; i < e.p; i++ {
 		for j := 0; j < e.p; j++ {
 			if v := e.val[i*e.p+j]; v != 0 {
@@ -42,7 +45,7 @@ func (e *DenseEnc) Decode() (*matrix.Tile, error) {
 			}
 		}
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded. The p² transmitted words split into the

@@ -66,11 +66,14 @@ func (e *DIAEnc) DiagNo() []int32 { return e.diagNo }
 func (e *DIAEnc) Lane(k int) []float64 { return e.lanes[k*e.p : (k+1)*e.p] }
 
 // Decode implements Encoded.
-func (e *DIAEnc) Decode() (*matrix.Tile, error) {
+func (e *DIAEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *DIAEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.lanes) != len(e.diagNo)*e.p {
 		return nil, corruptf("dia: %d lane slots for %d diagonals of p=%d", len(e.lanes), len(e.diagNo), e.p)
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	for k, d := range e.diagNo {
 		if int(d) <= -e.p || int(d) >= e.p {
 			return nil, corruptf("dia: diagonal number %d out of range", d)
@@ -92,7 +95,7 @@ func (e *DIAEnc) Decode() (*matrix.Tile, error) {
 			}
 		}
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded. Every stored diagonal transfers p value

@@ -69,11 +69,14 @@ func (e *DOKEnc) Keys() []int32 { return e.keys }
 func (e *DOKEnc) Values() []float64 { return e.vals }
 
 // Decode implements Encoded.
-func (e *DOKEnc) Decode() (*matrix.Tile, error) {
+func (e *DOKEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *DOKEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.keys) != len(e.vals) {
 		return nil, corruptf("dok: %d keys vs %d values", len(e.keys), len(e.vals))
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	seen := 0
 	for s, k := range e.keys {
 		if k == dokEmpty {
@@ -93,7 +96,7 @@ func (e *DOKEnc) Decode() (*matrix.Tile, error) {
 		return nil, corruptf("dok: %d occupied slots vs recorded nnz %d", seen, e.nnz)
 	}
 	// A duplicate key collapses two occupied slots into one cell.
-	t := b.Tile()
+	t := b.Build()
 	if t.NNZ() != seen {
 		return nil, corruptf("dok: %d occupied slots hold %d distinct keys", seen, t.NNZ())
 	}

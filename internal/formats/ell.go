@@ -63,11 +63,14 @@ func (e *ELLEnc) Idx() []int32 { return e.idx }
 func (e *ELLEnc) Values() []float64 { return e.vals }
 
 // Decode implements Encoded.
-func (e *ELLEnc) Decode() (*matrix.Tile, error) {
+func (e *ELLEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *ELLEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.idx) != e.p*e.w || len(e.vals) != e.p*e.w {
 		return nil, corruptf("ell: rectangle %d/%d for p=%d w=%d", len(e.idx), len(e.vals), e.p, e.w)
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	for i := 0; i < e.p; i++ {
 		for k := 0; k < e.w; k++ {
 			j := e.idx[i*e.w+k]
@@ -86,7 +89,7 @@ func (e *ELLEnc) Decode() (*matrix.Tile, error) {
 			b.Set(i, int(j), e.vals[i*e.w+k])
 		}
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded. Both rectangles travel in full; padding

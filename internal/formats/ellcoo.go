@@ -66,11 +66,14 @@ func (e *ELLCOOEnc) Width() int { return e.w }
 func (e *ELLCOOEnc) Spill() int { return len(e.sval) - 1 }
 
 // Decode implements Encoded.
-func (e *ELLCOOEnc) Decode() (*matrix.Tile, error) {
+func (e *ELLCOOEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *ELLCOOEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.idx) != e.p*e.w || len(e.vals) != e.p*e.w {
 		return nil, corruptf("ell+coo: rectangle %d/%d for p=%d w=%d", len(e.idx), len(e.vals), e.p, e.w)
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	for i := 0; i < e.p; i++ {
 		for k := 0; k < e.w; k++ {
 			j := e.idx[i*e.w+k]
@@ -93,7 +96,7 @@ func (e *ELLCOOEnc) Decode() (*matrix.Tile, error) {
 		}
 		b.Set(int(i), int(j), e.sval[k])
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded. As with COO, the spill sentinel is

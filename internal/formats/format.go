@@ -210,6 +210,11 @@ type Encoded interface {
 	// Decode rebuilds the tile from the streams, validating them. The
 	// returned tile carries a zero origin; callers re-anchor it.
 	Decode() (*matrix.Tile, error)
+	// DecodeInto is Decode through a caller-held builder: it resets b to
+	// this encoding's tile and returns b.Build(), valid until b's next
+	// Reset or Build. Through a warm builder it does not allocate, so a
+	// loop decoding many tiles reuses one builder.
+	DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error)
 	// Footprint returns the transmitted-byte accounting.
 	Footprint() Footprint
 	// Stats returns the structural quantities for the cycle model.
@@ -223,6 +228,22 @@ type Encoded interface {
 	// or rectangular storage clamp or skip the out-of-range padding.
 	// See spmv.go for the per-format determinism contract.
 	SpMV(x, y []float64)
+}
+
+// decode is the Decode every format shares: DecodeInto through a fresh
+// builder pre-sized for the encoding's stored non-zeros, so a dense tile
+// decodes without append growth. The size is clamped to p², which no
+// valid encoding exceeds, so a corrupt count cannot force a huge
+// allocation. The tile keeps the builder's storage but not the builder.
+func decode(e Encoded) (*matrix.Tile, error) {
+	b := new(matrix.TileBuilder)
+	b.Grow(min(e.Stats().NNZ, e.P()*e.P()))
+	t, err := e.DecodeInto(b)
+	if err != nil {
+		return nil, err
+	}
+	out := *t
+	return &out, nil
 }
 
 // Encode compresses the tile in the given format.

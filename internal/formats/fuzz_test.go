@@ -31,8 +31,11 @@ func fuzzTileOK(t *testing.T, tile *matrix.Tile, p int) {
 
 // FuzzRoundTrip builds a tile from (row, col, value) byte triples —
 // zero values clear cells, repeated cells overwrite — and requires every
-// format to decode its own encoding back to that tile.
+// format to decode its own encoding back to that tile, both through
+// Decode and through one builder shared, and left dirty, across every
+// format and iteration.
 func FuzzRoundTrip(f *testing.F) {
+	shared := new(matrix.TileBuilder)
 	f.Add(uint8(0), []byte{0, 3, 1, 4, 7, 2, 7, 7, 3})
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(2), []byte{5, 5, 9, 5, 5, 0, 2, 9, 250, 2, 1, 4, 2, 9, 6})
@@ -52,6 +55,13 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			if !dec.EqualValues(tile) {
 				t.Fatalf("%v: round trip changed the tile", k)
+			}
+			into, err := Encode(k, tile).DecodeInto(shared)
+			if err != nil {
+				t.Fatalf("%v: decode into shared builder: %v", k, err)
+			}
+			if !into.EqualValues(dec) {
+				t.Fatalf("%v: shared builder decoded a different tile than Decode", k)
 			}
 		}
 	})

@@ -79,21 +79,24 @@ func (e *JDSEnc) P() int { return e.p }
 func (e *JDSEnc) Width() int { return len(e.ptr) - 1 }
 
 // Decode implements Encoded.
-func (e *JDSEnc) Decode() (*matrix.Tile, error) {
+func (e *JDSEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *JDSEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.perm) != e.p {
 		return nil, corruptf("jds: %d perm entries for p=%d", len(e.perm), e.p)
 	}
-	seen := make([]bool, e.p)
+	seen := b.Scratch(e.p)
 	for _, o := range e.perm {
-		if o < 0 || int(o) >= e.p || seen[o] {
+		if o < 0 || int(o) >= e.p || seen[o] != 0 {
 			return nil, corruptf("jds: invalid permutation entry %d", o)
 		}
-		seen[o] = true
+		seen[o] = 1
 	}
 	if len(e.ptr) == 0 || int(e.ptr[len(e.ptr)-1]) != len(e.vals) || len(e.idx) != len(e.vals) {
 		return nil, corruptf("jds: pointer/stream inconsistency")
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	for k := 0; k < e.Width(); k++ {
 		start, end := int(e.ptr[k]), int(e.ptr[k+1])
 		if start > end || end > len(e.vals) {
@@ -115,7 +118,7 @@ func (e *JDSEnc) Decode() (*matrix.Tile, error) {
 			b.Set(int(e.perm[r]), int(j), e.vals[start+r])
 		}
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded. No padding travels, but the permutation

@@ -90,22 +90,25 @@ func (e *LILEnc) Height() int {
 	return h
 }
 
-// Decode implements Encoded. It replays the Listing 4 merge: repeatedly
-// find the minimum pending row index across column cursors and gather all
-// matching heads.
-func (e *LILEnc) Decode() (*matrix.Tile, error) {
+// Decode implements Encoded.
+func (e *LILEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded. It replays the Listing 4 merge:
+// repeatedly find the minimum pending row index across column cursors and
+// gather all matching heads.
+func (e *LILEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.colRows) != e.p || len(e.colVals) != e.p {
 		return nil, corruptf("lil: %d/%d columns for p=%d", len(e.colRows), len(e.colVals), e.p)
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
-	cursor := make([]int, e.p)
+	b.Reset(e.p, 0, 0)
+	cursor := b.Scratch(e.p)
 	for {
 		minRow := int32(-1)
 		for j := 0; j < e.p; j++ {
 			if len(e.colRows[j]) != len(e.colVals[j]) {
 				return nil, corruptf("lil: column %d length mismatch", j)
 			}
-			if cursor[j] < len(e.colRows[j]) {
+			if int(cursor[j]) < len(e.colRows[j]) {
 				r := e.colRows[j][cursor[j]]
 				if r < 0 || int(r) >= e.p {
 					return nil, corruptf("lil: row %d out of range in column %d", r, j)
@@ -119,10 +122,10 @@ func (e *LILEnc) Decode() (*matrix.Tile, error) {
 			}
 		}
 		if minRow == -1 {
-			return b.Tile(), nil
+			return b.Build(), nil
 		}
 		for j := 0; j < e.p; j++ {
-			if cursor[j] < len(e.colRows[j]) && e.colRows[j][cursor[j]] == minRow {
+			if int(cursor[j]) < len(e.colRows[j]) && e.colRows[j][cursor[j]] == minRow {
 				v := e.colVals[j][cursor[j]]
 				if v == 0 {
 					return nil, corruptf("lil: explicit zero in column %d", j)

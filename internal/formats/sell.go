@@ -64,11 +64,14 @@ func (e *SELLEnc) SliceHeight() int { return e.c }
 func (e *SELLEnc) Widths() []int32 { return e.widths }
 
 // Decode implements Encoded.
-func (e *SELLEnc) Decode() (*matrix.Tile, error) {
+func (e *SELLEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *SELLEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.widths) != e.p/e.c {
 		return nil, corruptf("sell: %d slices for p=%d c=%d", len(e.widths), e.p, e.c)
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	base := 0
 	for s, w32 := range e.widths {
 		w := int(w32)
@@ -98,7 +101,7 @@ func (e *SELLEnc) Decode() (*matrix.Tile, error) {
 	if base != len(e.idx) {
 		return nil, corruptf("sell: %d trailing rectangle slots", len(e.idx)-base)
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded.

@@ -94,21 +94,24 @@ func (e *SELLCSEnc) SliceHeight() int { return e.c }
 func (e *SELLCSEnc) Widths() []int32 { return e.widths }
 
 // Decode implements Encoded.
-func (e *SELLCSEnc) Decode() (*matrix.Tile, error) {
+func (e *SELLCSEnc) Decode() (*matrix.Tile, error) { return decode(e) }
+
+// DecodeInto implements Encoded.
+func (e *SELLCSEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	if len(e.perm) != e.p {
 		return nil, corruptf("sell-c-sigma: %d perm entries for p=%d", len(e.perm), e.p)
 	}
-	seen := make([]bool, e.p)
+	seen := b.Scratch(e.p)
 	for _, o := range e.perm {
-		if o < 0 || int(o) >= e.p || seen[o] {
+		if o < 0 || int(o) >= e.p || seen[o] != 0 {
 			return nil, corruptf("sell-c-sigma: invalid permutation entry %d", o)
 		}
-		seen[o] = true
+		seen[o] = 1
 	}
 	if len(e.widths) != e.p/e.c {
 		return nil, corruptf("sell-c-sigma: %d slices for p=%d c=%d", len(e.widths), e.p, e.c)
 	}
-	b := matrix.NewTileBuilder(e.p, 0, 0)
+	b.Reset(e.p, 0, 0)
 	base := 0
 	for s, w32 := range e.widths {
 		w := int(w32)
@@ -139,7 +142,7 @@ func (e *SELLCSEnc) Decode() (*matrix.Tile, error) {
 	if base != len(e.idx) {
 		return nil, corruptf("sell-c-sigma: %d trailing rectangle slots", len(e.idx)-base)
 	}
-	return b.Tile(), nil
+	return b.Build(), nil
 }
 
 // Footprint implements Encoded: SELL's streams plus the permutation.

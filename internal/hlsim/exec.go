@@ -84,7 +84,13 @@ func (pl *Plan) exec(ctx context.Context, k formats.Kind) (*planExec, error) {
 func (pl *Plan) buildExec(ctx context.Context, k formats.Kind) (*planExec, error) {
 	tiles := pl.pt.Tiles
 	ex := &planExec{encs: make([]formats.Encoded, len(tiles))}
-	if err := pl.eachTile(ctx, ptExecBuild, func(i int) { ex.encs[i] = formats.Encode(k, tiles[i]) }); err != nil {
+	err := pl.eachTile(ctx, ptExecBuild, func(lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			ex.encs[i] = formats.Encode(k, tiles[i])
+		}
+		return true
+	})
+	if err != nil {
 		return nil, err
 	}
 	for _, enc := range ex.encs {

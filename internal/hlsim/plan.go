@@ -30,10 +30,11 @@ import (
 //
 // Each format warms up in three lazy phases — encode, decode-verify and
 // exec build — each behind its own cancellation-safe once-guard, so
-// different formats warm concurrently and a warm run takes no lock. The
-// encode and exec-build phases can fan their tiles out over a bounded
-// encode pool (SetWorkers, SetEncodePool) with deterministic,
-// tile-ordered aggregation.
+// different formats warm concurrently and a warm run takes no lock. All
+// three phases fan their tiles out over a bounded encode pool
+// (SetWorkers, SetEncodePool) with deterministic, tile-ordered results:
+// aggregation is serial in tile order, and verify reports the
+// lowest-index failure, as a serial walk would.
 //
 // A Plan is safe for concurrent use.
 type Plan struct {
@@ -177,10 +178,11 @@ func NewEncodePool(helpers int) *EncodePool {
 	return &EncodePool{tokens: make(chan struct{}, helpers)}
 }
 
-// SetWorkers bounds the tile-parallel warmup: format encodes fan tiles
-// out over up to n goroutines, caller included (aggregation stays serial
-// and tile-ordered, so results are bit-identical to a serial encode).
-// n <= 1 encodes serially; 0 is treated as GOMAXPROCS. The pool created
+// SetWorkers bounds the tile-parallel warmup: encode, decode-verify and
+// exec build fan tiles out over up to n goroutines, caller included
+// (aggregation stays serial and tile-ordered, and verify reports the
+// lowest-index failure, so results are identical to a serial warmup).
+// n <= 1 warms serially; 0 is treated as GOMAXPROCS. The pool created
 // here is private to this plan; use SetEncodePool to share one bound
 // across many plans.
 func (pl *Plan) SetWorkers(n int) {
@@ -290,15 +292,18 @@ func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, 
 	}
 	tiles := pl.pt.Tiles
 	pf := &planFormat{tiles: make([]TileResult, len(tiles)), encs: make([]formats.Encoded, len(tiles))}
-	err := pl.eachTile(ctx, ptEncodeTile, func(i int) {
-		pf.encs[i] = formats.Encode(k, tiles[i])
-		tr, err := RunTile(pl.cfg, pf.encs[i])
-		if err != nil {
-			// Unreachable for in-range Kinds (format guards the range), but
-			// a model gap must surface as the slot's sticky error.
-			storeFirst(&pf.sticky, err)
+	err := pl.eachTile(ctx, ptEncodeTile, func(lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			pf.encs[i] = formats.Encode(k, tiles[i])
+			tr, err := RunTile(pl.cfg, pf.encs[i])
+			if err != nil {
+				// Unreachable for in-range Kinds (format guards the range),
+				// but a model gap must surface as the slot's sticky error.
+				storeFirst(&pf.sticky, err)
+			}
+			pf.tiles[i] = tr
 		}
-		pf.tiles[i] = tr
+		return true
 	})
 	if err != nil {
 		return nil, err
@@ -328,20 +333,26 @@ func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, 
 	return pf, nil
 }
 
-// eachTile calls fn(i) once for every tile index i, on the calling
-// goroutine plus however many encode-pool helpers are free right now
-// (none without a pool or below minParallelTiles tiles). Participants
-// claim chunks of encodeChunk tiles from a shared counter, so the helper
-// count changes only wall time, provided fn writes only state addressed
-// by i. Each participant checks ctx, and whether another has failed,
-// between chunks and hits point before every tile; a panic in fn is
-// recovered as a *resilience.PanicError named after point. eachTile
-// returns ctx.Err(), else the first fault, else nil, and every borrowed
-// pool token is returned either way. Sharing one pool across plans
-// bounds the extra goroutines of concurrent warm-ups by its size.
-func (pl *Plan) eachTile(ctx context.Context, point *faults.P, fn func(i int)) error {
+// eachTile hands every tile index to fn exactly once, in chunks [lo, hi)
+// of up to encodeChunk tiles, on the calling goroutine plus however many
+// encode-pool helpers are free right now (none without a pool or below
+// minParallelTiles tiles). Participants claim chunks in ascending order
+// from a shared counter, so the helper count changes only wall time,
+// provided fn writes only state addressed by its tile indices. fn
+// returns false to report a failure in its chunk: from then on no
+// participant claims a chunk starting above it, while every chunk below
+// it still runs, so a caller that keeps the lowest-index failure gets
+// the one a serial walk stops at. Each participant checks ctx, and
+// whether another has faulted, between chunks and hits point once per
+// tile before handing a chunk to fn; a panic in fn is recovered as a
+// *resilience.PanicError named after point. eachTile returns ctx.Err(),
+// else the first fault, else nil, and every borrowed pool token is
+// returned either way. Sharing one pool across plans bounds the extra
+// goroutines of concurrent warm-ups by its size.
+func (pl *Plan) eachTile(ctx context.Context, point *faults.P, fn func(lo, hi int) bool) error {
 	n := len(pl.pt.Tiles)
-	var next atomic.Int64
+	var next, cut atomic.Int64 // cut: the lowest chunk start fn failed in
+	cut.Store(int64(n))
 	var fail atomic.Pointer[error]
 	work := func() {
 		defer func() {
@@ -350,16 +361,20 @@ func (pl *Plan) eachTile(ctx context.Context, point *faults.P, fn func(i int)) e
 			}
 		}()
 		for ctx.Err() == nil && fail.Load() == nil {
-			lo := int(next.Add(encodeChunk)) - encodeChunk
-			if lo >= n {
-				return
+			lo := next.Add(encodeChunk) - encodeChunk
+			if lo >= int64(n) || lo > cut.Load() {
+				return // claims only ascend: nothing left for this participant
 			}
-			for i := lo; i < min(lo+encodeChunk, n); i++ {
+			hi := min(int(lo)+encodeChunk, n)
+			for i := int(lo); i < hi; i++ {
 				if err := point.Hit(); err != nil {
 					storeFirst(&fail, err)
 					return
 				}
-				fn(i)
+			}
+			if !fn(int(lo), hi) {
+				for c := cut.Load(); lo < c && !cut.CompareAndSwap(c, lo); c = cut.Load() {
+				}
 			}
 		}
 	}
@@ -408,38 +423,65 @@ func (pl *Plan) verify(ctx context.Context, k formats.Kind) (*planFormat, error)
 	return vf, vf.err()
 }
 
-// runVerify cross-checks every tile's encoding. A nil return means the
-// pass completed — success or a sticky model error published in pf —
-// and the encodings were consumed. A non-nil return (cancellation,
-// injected fault, or a panic recovered as *resilience.PanicError) leaves
-// the encodings unconsumed and the slot unverified, so a retry re-runs
-// the cross-check in full.
-func (pl *Plan) runVerify(ctx context.Context, k formats.Kind, pf *planFormat) (abort error) {
-	defer func() {
-		if pe := resilience.Recovered(ptVerifyTile.Name(), recover()); pe != nil {
-			abort = pe
+// verifyBuilders lends each verify participant one reusable decode
+// builder per chunk, so a cross-check pass allocates per worker, not per
+// tile.
+var verifyBuilders = sync.Pool{New: func() any { return new(matrix.TileBuilder) }}
+
+// runVerify cross-checks every tile's encoding, fanned out over
+// eachTile. A nil return means the pass completed — success or a sticky
+// decode, cross-check or model error published in pf — and the
+// encodings were consumed. Of several failing tiles the lowest-index one
+// is published, so the sticky error is the serial walk's at every pool
+// size. A non-nil return (cancellation, injected fault, or a panic
+// recovered as *resilience.PanicError) leaves the encodings unconsumed
+// and the slot unverified, so a retry re-runs the cross-check in full.
+func (pl *Plan) runVerify(ctx context.Context, k formats.Kind, pf *planFormat) error {
+	tiles, encs := pl.pt.Tiles, pf.encs
+	var first lowestFailure
+	err := pl.eachTile(ctx, ptVerifyTile, func(lo, hi int) bool {
+		b := verifyBuilders.Get().(*matrix.TileBuilder)
+		defer verifyBuilders.Put(b)
+		for i := lo; i < hi; i++ {
+			if err := verifyTile(k, tiles[i], encs[i], b); err != nil {
+				first.record(i, err)
+				return false
+			}
 		}
-	}()
-	encs := pf.encs
-	for ti, tile := range pl.pt.Tiles {
-		if ti%encodeChunk == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if err := ptVerifyTile.Hit(); err != nil {
-			return err
-		}
-		dec, err := encs[ti].Decode()
-		if err != nil {
-			storeFirst(&pf.sticky, fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err))
-			break
-		}
-		if err := crossCheck(k, tile, dec); err != nil {
-			storeFirst(&pf.sticky, err)
-			break
-		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
+	storeFirst(&pf.sticky, first.err)
 	pf.encs = nil // encodings are not needed once cross-checked
 	return nil
+}
+
+// lowestFailure keeps the lowest-index failure that concurrent verify
+// participants report.
+type lowestFailure struct {
+	mu  sync.Mutex
+	at  int
+	err error
+}
+
+func (f *lowestFailure) record(i int, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil || i < f.at {
+		f.at, f.err = i, err
+	}
+}
+
+// verifyTile decodes enc through the reusable builder b and cross-checks
+// the result against the original tile.
+func verifyTile(k formats.Kind, tile *matrix.Tile, enc formats.Encoded, b *matrix.TileBuilder) error {
+	dec, err := enc.DecodeInto(b)
+	if err != nil {
+		return fmt.Errorf("hlsim: tile (%d,%d): %w", tile.Row, tile.Col, err)
+	}
+	return crossCheck(k, tile, dec)
 }
 
 // crossCheck compares a decoded tile against the original, sparse row by

@@ -39,9 +39,23 @@ func newTileCSR(p, row, col int, rowPtr, cols []int32, vals []float64, nzRows in
 // output path and the way tests hand-build tiles. It keeps the cell
 // semantics of a dense p×p array: the last write to a cell wins, writing
 // zero empties the cell, and NaN is stored like any other non-zero.
+//
+// A builder can be reused for any number of tiles: Reset starts a new
+// tile and keeps every buffer, and Build assembles the tile into the
+// builder's own storage, so a warm builder builds without allocating.
+// Tile instead returns a tile with storage of its own. The zero value
+// is ready for use after Reset.
 type TileBuilder struct {
 	p, row, col int
 	ents        []tileEntry
+
+	// Build's output storage and tile header, reused across builds.
+	rowPtr []int32
+	cols   []int32
+	vals   []float64
+	tile   Tile
+
+	scratch []int32 // see Scratch
 }
 
 type tileEntry struct {
@@ -52,10 +66,36 @@ type tileEntry struct {
 // NewTileBuilder returns an empty builder for the p×p tile at the given
 // origin.
 func NewTileBuilder(p, row, col int) *TileBuilder {
+	b := new(TileBuilder)
+	b.Reset(p, row, col)
+	return b
+}
+
+// Reset discards the writes so far and starts an empty p×p tile at the
+// given origin, keeping the builder's storage for reuse.
+func (b *TileBuilder) Reset(p, row, col int) {
 	if p <= 0 {
-		panic(fmt.Sprintf("matrix: NewTileBuilder with p=%d", p))
+		panic(fmt.Sprintf("matrix: TileBuilder with p=%d", p))
 	}
-	return &TileBuilder{p: p, row: row, col: col}
+	b.p, b.row, b.col = p, row, col
+	b.ents = b.ents[:0]
+}
+
+// Grow makes room for at least n more writes without reallocation.
+func (b *TileBuilder) Grow(n int) {
+	if n > cap(b.ents)-len(b.ents) {
+		b.ents = append(make([]tileEntry, 0, len(b.ents)+n), b.ents...)
+	}
+}
+
+// Scratch returns a zeroed int32 slice of length n that lives in the
+// builder and is reused by later calls — working state for decoders
+// (cursors, seen-marks) that must not allocate on a warm builder. It is
+// valid until the next call to Scratch.
+func (b *TileBuilder) Scratch(n int) []int32 {
+	b.scratch = resize(b.scratch, n)
+	clear(b.scratch)
+	return b.scratch
 }
 
 // Set writes v at local coordinates (i, j). Out-of-range coordinates
@@ -67,23 +107,51 @@ func (b *TileBuilder) Set(i, j int, v float64) {
 	b.ents = append(b.ents, tileEntry{int32(i), int32(j), v})
 }
 
-// Tile builds the tile from the writes so far and resets the builder. A
-// stable counting scatter groups the writes by row, then a per-row
-// insertion sort orders them by column — linear when each row's columns
-// were written in ascending order, as every row-major or column-major
-// decoder writes them.
+// Tile builds the tile from the writes so far into storage of its own
+// and clears the writes, keeping the origin.
 func (b *TileBuilder) Tile() *Tile {
+	n := len(b.ents)
+	t := b.build(make([]int32, b.p+1), make([]int32, n), make([]float64, n))
+	return &t
+}
+
+// Build is Tile without the allocation: the tile is assembled into the
+// builder's reused storage and header, so it is valid only until the
+// builder's next Reset or Build. Callers that keep the tile use Tile.
+func (b *TileBuilder) Build() *Tile {
+	n := len(b.ents)
+	b.rowPtr = resize(b.rowPtr, b.p+1)
+	b.cols = resize(b.cols, n)
+	b.vals = resize(b.vals, n)
+	b.tile = b.build(b.rowPtr, b.cols, b.vals)
+	return &b.tile
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// build assembles the writes so far into rowPtr (len p+1) and cols/vals
+// (len ≥ the write count), then clears the writes. A stable counting
+// scatter groups the writes by row, then a per-row insertion sort orders
+// them by column — linear when each row's columns were written in
+// ascending order, as every row-major or column-major decoder writes
+// them.
+func (b *TileBuilder) build(rowPtr, cols []int32, vals []float64) Tile {
 	p, ents := b.p, b.ents
 	b.ents = b.ents[:0]
-	rowPtr := make([]int32, p+1)
+	clear(rowPtr)
 	for _, e := range ents {
 		rowPtr[e.i+1]++
 	}
 	for i := 0; i < p; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	cols := make([]int32, len(ents))
-	vals := make([]float64, len(ents))
 	// The scatter advances rowPtr[i] from row i's start to its end.
 	for _, e := range ents {
 		k := rowPtr[e.i]
@@ -110,8 +178,7 @@ func (b *TileBuilder) Tile() *Tile {
 		s = e
 	}
 	rowPtr[p] = w
-	t := newTileCSR(p, b.row, b.col, rowPtr, cols[:w:w], vals[:w:w], nzRows)
-	return &t
+	return newTileCSR(p, b.row, b.col, rowPtr, cols[:w:w], vals[:w:w], nzRows)
 }
 
 // sortRow orders one row's writes by column with a stable insertion sort,

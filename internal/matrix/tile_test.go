@@ -253,3 +253,34 @@ func TestStatsEmptyMatrix(t *testing.T) {
 		t.Fatalf("empty matrix stats = %+v", s)
 	}
 }
+
+// TestTileBuilderReuse: Reset and Build reuse one builder across tiles of
+// different sizes and origins — each build equals a fresh builder's Tile,
+// and a warm rebuild allocates nothing.
+func TestTileBuilderReuse(t *testing.T) {
+	fill := func(b *TileBuilder, p int, seed uint64) {
+		r := xrand.New(seed)
+		for k := 0; k < 3*p; k++ {
+			b.Set(r.Intn(p), r.Intn(p), float64(r.Intn(5)))
+		}
+	}
+	reused := new(TileBuilder)
+	for seed, p := range []int{8, 64, 3, 64} {
+		fresh := NewTileBuilder(p, 10*p, 20*p)
+		fill(fresh, p, uint64(seed))
+		want := fresh.Tile()
+		reused.Reset(p, 10*p, 20*p)
+		fill(reused, p, uint64(seed))
+		if got := reused.Build(); !got.EqualValues(want) || got.NonZeroRows() != want.NonZeroRows() {
+			t.Fatalf("p=%d: reused builder built a different tile", p)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		reused.Reset(64, 0, 0)
+		fill(reused, 64, 3)
+		reused.Build()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Reset+Build makes %v allocs, want 0", allocs)
+	}
+}
