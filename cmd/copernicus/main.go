@@ -230,7 +230,7 @@ func run(args []string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: copernicus <list|all|sweep|advise|stats|convert|scaling|bench|serve|loadgen|workloads|fig3..fig14|table2> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: copernicus <list|all|ext|sweep|advise|stats|convert|scaling|trace|bench|serve|loadgen|workloads|fig3..fig14|table2|ext1..ext9> [flags]`)
 }
 
 // benchResult is one timed benchmark in the BENCH_sweep.json record.
@@ -833,18 +833,22 @@ func scaling(m *copernicus.Matrix, formatName string, p, maxLanes int) error {
 	if err != nil {
 		return err
 	}
+	pl, err := copernicus.NewStreamPlan(m, p)
+	if err != nil {
+		return err
+	}
 	x := make([]float64, m.Cols)
 	for i := range x {
 		x[i] = 1
 	}
-	base, err := copernicus.SpMVParallel(m, x, f, p, 1)
+	base, err := pl.RunParallel(f, x, 1)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("coarse-grained scaling, %v at p=%d over %d non-zero tiles:\n", f, p, base.NonZeroTiles)
 	fmt.Println("lanes  cycles       speedup  efficiency")
 	for lanes := 1; lanes <= maxLanes; lanes *= 2 {
-		r, err := copernicus.SpMVParallel(m, x, f, p, lanes)
+		r, err := pl.RunParallel(f, x, lanes)
 		if err != nil {
 			return err
 		}

@@ -287,32 +287,35 @@ func Characterize(m *Matrix, f Format, p int) (Result, error) {
 // the dot-product engine. Use Matrix.MulVec for the plain software path,
 // or a StreamPlan when multiplying the same matrix repeatedly.
 func SpMV(m *Matrix, x []float64, f Format, p int) ([]float64, error) {
-	res, err := hlsim.Run(hlsim.Default(), m, f, p, x)
+	res, err := oneShot(m, p, func(pl *StreamPlan) (*StreamResult, error) { return pl.Run(f, x) })
 	if err != nil {
 		return nil, err
 	}
 	return res.Y, nil
 }
 
+// oneShot answers one query on a transient default-hardware plan for m
+// at partition size p: NewStreamPlan plus the one method run calls.
+func oneShot[T any](m *Matrix, p int, run func(*StreamPlan) (T, error)) (T, error) {
+	pl, err := NewStreamPlan(m, p)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return run(pl)
+}
+
 // StreamPlan is an encode-once streaming plan: the matrix is partitioned
 // once at one partition size, each format is encoded and decode-verified
 // once on first use, and every subsequent modelled SpMV on the plan pays
-// only the per-iteration dot work. Its Run, RunParallel, RunSpMM, Trace,
-// and Schedule methods mirror the package-level one-shot helpers; RunInto
-// is the allocation-free warm path (reuse one StreamResult across calls),
-// and SetWorkers enables tile-parallel warmup with bit-identical results.
+// only the per-iteration dot work. The package-level SpMV,
+// SpMVParallel, SpMM, BuildSchedule and TraceSpMV are its Run,
+// RunParallel, RunSpMM, Schedule and Trace methods on a transient plan;
+// RunInto is the allocation-free warm path (reuse one StreamResult
+// across calls), RunExecInto multiplies through each format's own
+// executable kernel on a process-shared GOMAXPROCS-wide worker pool, and
+// SetWorkers enables tile-parallel warmup with bit-identical results.
 type StreamPlan = hlsim.Plan
-
-// ExecPool is the persistent worker pool behind StreamPlan.RunExecInto,
-// the tile-parallel SpMV through each format's own executable kernel.
-// Plans use a process-shared GOMAXPROCS-wide pool by default; install a
-// custom one with StreamPlan.SetExecPool to bound exec parallelism
-// across many plans explicitly.
-type ExecPool = hlsim.ExecPool
-
-// NewExecPool starts a pool of `workers` parked helper goroutines for
-// RunExecInto (0 means every caller executes alone).
-func NewExecPool(workers int) *ExecPool { return hlsim.NewExecPool(workers) }
 
 // StreamResult is one modelled SpMV run: the functional output vector
 // plus the aggregated cycle totals. Hold one and call StreamPlan.RunInto
@@ -338,7 +341,7 @@ type ParallelResult = hlsim.ParallelResult
 // instances — the coarse-grained parallelism of §5.1 — returning the
 // functional result and the per-lane timing model.
 func SpMVParallel(m *Matrix, x []float64, f Format, p, lanes int) (*ParallelResult, error) {
-	return hlsim.RunParallel(hlsim.Default(), m, f, p, x, lanes)
+	return oneShot(m, p, func(pl *StreamPlan) (*ParallelResult, error) { return pl.RunParallel(f, x, lanes) })
 }
 
 // SpMMResult models sparse-matrix × dense-matrix multiplication, where
@@ -348,7 +351,7 @@ type SpMMResult = hlsim.SpMMResult
 // SpMM multiplies m by the dense operand b (m.Cols × cols, row-major)
 // through the modelled pipeline.
 func SpMM(m *Matrix, b []float64, cols int, f Format, p int) (*SpMMResult, error) {
-	return hlsim.RunSpMM(hlsim.Default(), m, f, p, b, cols)
+	return oneShot(m, p, func(pl *StreamPlan) (*SpMMResult, error) { return pl.RunSpMM(f, b, cols) })
 }
 
 // Schedule is the event-level three-stage pipeline timeline (memory
@@ -359,7 +362,7 @@ type Schedule = hlsim.Schedule
 // refining the per-tile max(mem, compute) approximation with fill,
 // drain, and writeback overlap.
 func BuildSchedule(m *Matrix, f Format, p int) (*Schedule, error) {
-	return hlsim.BuildSchedule(hlsim.Default(), m, f, p)
+	return oneShot(m, p, func(pl *StreamPlan) (*Schedule, error) { return pl.Schedule(f) })
 }
 
 // Application kernels (§3.3): iterative solvers and graph algorithms
@@ -423,7 +426,7 @@ type TraceSummary = hlsim.TraceSummary
 // pipeline trace, making the §4.2 streaming bubbles visible tile by
 // tile.
 func TraceSpMV(m *Matrix, f Format, p int) ([]TileTrace, error) {
-	return hlsim.Trace(hlsim.Default(), m, f, p)
+	return oneShot(m, p, func(pl *StreamPlan) ([]TileTrace, error) { return pl.Trace(f) })
 }
 
 // SummarizeTrace folds a trace into totals.

@@ -2,8 +2,10 @@ package copernicus_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -205,6 +207,59 @@ func TestSpMVParallelFacade(t *testing.T) {
 	}
 	if e := r.Efficiency(); e <= 0 || e > 1 {
 		t.Fatalf("efficiency %v", e)
+	}
+}
+
+// TestFacadeOneShotsMatchPlan: each one-shot facade query answers
+// exactly what the same method returns on a StreamPlan, for every format
+// — here one plan held across all formats and methods, so its cached
+// state must not leak between queries either.
+func TestFacadeOneShotsMatchPlan(t *testing.T) {
+	const p, lanes, cols = 16, 3, 2
+	m := copernicus.Random(96, 0.08, 35)
+	x := make([]float64, m.Cols)
+	b := make([]float64, m.Cols*cols)
+	for i := range x {
+		x[i] = float64(i%5) - 2
+	}
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	pl, err := copernicus.NewStreamPlan(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(f copernicus.Format, name string, got, want any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%v %s: %v", f, name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v %s: facade answer differs from the plan's", f, name)
+		}
+	}
+	for _, f := range copernicus.AllFormats() {
+		run, err := pl.Run(f, x)
+		if err != nil {
+			t.Fatalf("%v Run: %v", f, err)
+		}
+		y, err := copernicus.SpMV(m, x, f, p)
+		check(f, "SpMV", y, run.Y, err)
+		par, err := copernicus.SpMVParallel(m, x, f, p, lanes)
+		wantPar, perr := pl.RunParallel(f, x, lanes)
+		check(f, "SpMVParallel", par, wantPar, errors.Join(err, perr))
+		mm, err := copernicus.SpMM(m, b, cols, f, p)
+		wantMM, perr := pl.RunSpMM(f, b, cols)
+		check(f, "SpMM", mm, wantMM, errors.Join(err, perr))
+		sc, err := copernicus.BuildSchedule(m, f, p)
+		wantSc, perr := pl.Schedule(f)
+		check(f, "BuildSchedule", sc, wantSc, errors.Join(err, perr))
+		tr, err := copernicus.TraceSpMV(m, f, p)
+		wantTr, perr := pl.Trace(f)
+		check(f, "TraceSpMV", tr, wantTr, errors.Join(err, perr))
+	}
+	if _, err := copernicus.SpMVParallel(m, x, copernicus.CSR, p, 0); err == nil {
+		t.Fatal("SpMVParallel accepted 0 lanes")
 	}
 }
 

@@ -22,15 +22,21 @@ func main() {
 	}
 	fmt.Printf("matrix: %dx%d, nnz=%d; partition 16x16\n\n", m.Rows, m.Cols, m.NNZ())
 
+	// One plan partitions the matrix once; each format is encoded and
+	// verified once on it, then re-costed for every lane count.
+	pl, err := copernicus.NewStreamPlan(m, 16)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, f := range []copernicus.Format{copernicus.COO, copernicus.CSR, copernicus.DIA} {
-		base, err := copernicus.SpMVParallel(m, x, f, 16, 1)
+		base, err := pl.RunParallel(f, x, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%v over %d non-zero tiles:\n", f, base.NonZeroTiles)
 		fmt.Println("  lanes  cycles      speedup  efficiency")
 		for lanes := 1; lanes <= 16; lanes *= 2 {
-			r, err := copernicus.SpMVParallel(m, x, f, 16, lanes)
+			r, err := pl.RunParallel(f, x, lanes)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -41,7 +47,7 @@ func main() {
 	}
 
 	// Functional check: 16-lane output equals the software reference.
-	r, err := copernicus.SpMVParallel(m, x, copernicus.COO, 16, 16)
+	r, err := pl.RunParallel(copernicus.COO, x, 16)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package formats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"copernicus/internal/matrix"
@@ -29,11 +31,21 @@ func fuzzTileOK(t *testing.T, tile *matrix.Tile, p int) {
 	}
 }
 
-// FuzzRoundTrip builds a tile from (row, col, value) byte triples —
-// zero values clear cells, repeated cells overwrite — and requires every
-// format to decode its own encoding back to that tile, both through
-// Decode and through one builder shared, and left dirty, across every
-// format and iteration.
+// fuzzTile builds a p×p tile, p = 8·(1 + sel%4) so every format's
+// divisibility holds, from (row, col, value) byte triples: zero values
+// clear cells, repeated cells overwrite.
+func fuzzTile(sel uint8, cells []byte) *matrix.Tile {
+	p := 8 * (1 + int(sel)%4)
+	b := matrix.NewTileBuilder(p, 0, 0)
+	for k := 0; k+2 < len(cells) && k < 3*1024; k += 3 {
+		b.Set(int(cells[k])%p, int(cells[k+1])%p, float64(int8(cells[k+2])))
+	}
+	return b.Tile()
+}
+
+// FuzzRoundTrip requires every format to decode its own encoding of a
+// fuzzed tile back to that tile, both through Decode and through one
+// builder shared, and left dirty, across every format and iteration.
 func FuzzRoundTrip(f *testing.F) {
 	shared := new(matrix.TileBuilder)
 	f.Add(uint8(0), []byte{0, 3, 1, 4, 7, 2, 7, 7, 3})
@@ -41,13 +53,8 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(2), []byte{5, 5, 9, 5, 5, 0, 2, 9, 250, 2, 1, 4, 2, 9, 6})
 	f.Add(uint8(3), []byte{31, 0, 1, 0, 31, 2, 16, 16, 128})
 	f.Fuzz(func(t *testing.T, sel uint8, cells []byte) {
-		p := 8 * (1 + int(sel)%4) // 8..32: every format's divisibility holds
-		b := matrix.NewTileBuilder(p, 0, 0)
-		for k := 0; k+2 < len(cells) && k < 3*1024; k += 3 {
-			b.Set(int(cells[k])%p, int(cells[k+1])%p, float64(int8(cells[k+2])))
-		}
-		tile := b.Tile()
-		fuzzTileOK(t, tile, p)
+		tile := fuzzTile(sel, cells)
+		fuzzTileOK(t, tile, tile.P)
 		for _, k := range All() {
 			dec, err := Encode(k, tile).Decode()
 			if err != nil {
@@ -67,123 +74,89 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-func FuzzCSRDecode(f *testing.F) {
-	f.Add([]byte{1, 1, 1, 2}, []byte{3, 7}, 8)
-	f.Add([]byte{0, 0, 0, 0}, []byte{}, 8)
-	f.Add([]byte{2, 1}, []byte{0, 1}, 8) // decreasing offsets
-	f.Fuzz(func(t *testing.T, offs, cols []byte, p int) {
-		p = 8 + (abs(p) % 3 * 8) // 8, 16, 24 — keep allocation bounded
-		e := &CSREnc{p: p}
-		e.offsets = make([]int32, p)
-		for i := 0; i < p && i < len(offs); i++ {
-			e.offsets[i] = int32(offs[i])
-		}
-		for i := 1; i < p; i++ {
-			if e.offsets[i] == 0 {
-				e.offsets[i] = e.offsets[i-1]
-			}
-		}
-		n := int(e.offsets[p-1])
-		if n < 0 || n > 1024 {
-			return
-		}
-		e.colIdx = make([]int32, n)
-		e.vals = make([]float64, n)
-		for i := 0; i < n; i++ {
-			if i < len(cols) {
-				e.colIdx[i] = int32(cols[i]) - 4 // allow negatives
-			}
-			e.vals[i] = float64(i + 1)
-		}
-		tile, err := e.Decode()
-		if err == nil {
-			fuzzTileOK(t, tile, p)
-		}
-	})
-}
-
-func FuzzCOODecode(f *testing.F) {
-	f.Add([]byte{0, 3, 4, 7, 7, 7}, 8)
-	f.Add([]byte{}, 8)
-	f.Add([]byte{200, 200}, 8)
-	f.Fuzz(func(t *testing.T, pairs []byte, p int) {
-		p = 8 + (abs(p) % 3 * 8)
-		e := &COOEnc{p: p}
-		for i := 0; i+1 < len(pairs) && i < 512; i += 2 {
-			e.rows = append(e.rows, int32(pairs[i])-4)
-			e.cols = append(e.cols, int32(pairs[i+1])-4)
-			e.vals = append(e.vals, float64(i+1))
-		}
-		e.rows = append(e.rows, cooSentinel)
-		e.cols = append(e.cols, cooSentinel)
-		e.vals = append(e.vals, 0)
-		tile, err := e.Decode()
-		if err == nil {
-			fuzzTileOK(t, tile, p)
-		}
-	})
-}
-
-func FuzzDIADecode(f *testing.F) {
-	f.Add([]byte{0, 3}, []byte{1, 2, 3}, 8)
-	f.Add([]byte{255}, []byte{9}, 8)
-	f.Fuzz(func(t *testing.T, diags, vals []byte, p int) {
-		p = 8 + (abs(p) % 3 * 8)
-		e := &DIAEnc{p: p}
-		for i := 0; i < len(diags) && i < 64; i++ {
-			e.diagNo = append(e.diagNo, int32(diags[i])-32)
-		}
-		e.lanes = make([]float64, len(e.diagNo)*p)
-		for i := range e.lanes {
-			if i < len(vals) {
-				e.lanes[i] = float64(vals[i])
-			}
-		}
-		tile, err := e.Decode()
-		if err == nil {
-			fuzzTileOK(t, tile, p)
-		}
-	})
-}
-
-func FuzzJDSDecode(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{0, 4}, []byte{1, 2, 3, 4})
-	f.Add([]byte{0, 0}, []byte{0}, []byte{})
-	f.Fuzz(func(t *testing.T, perm, ptr, cols []byte) {
-		const p = 8
-		e := &JDSEnc{p: p}
-		e.perm = make([]int32, p)
-		for i := 0; i < p && i < len(perm); i++ {
-			e.perm[i] = int32(perm[i]) - 2
-		}
-		for i := 0; i < len(ptr) && i < 16; i++ {
-			e.ptr = append(e.ptr, int32(ptr[i]))
-		}
-		if len(e.ptr) == 0 {
-			e.ptr = []int32{0}
-		}
-		n := int(e.ptr[len(e.ptr)-1])
-		if n < 0 || n > 512 {
-			return
-		}
-		e.idx = make([]int32, n)
-		e.vals = make([]float64, n)
-		for i := 0; i < n; i++ {
-			if i < len(cols) {
-				e.idx[i] = int32(cols[i]) - 2
-			}
-			e.vals[i] = float64(i + 1)
-		}
-		tile, err := e.Decode()
-		if err == nil {
-			fuzzTileOK(t, tile, p)
-		}
-	})
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
+// intStreams returns every integer stream Decode reads from e, in a
+// fixed order and sharing e's storage, so writing an entry corrupts the
+// encoding in place. CSR's skip list is host-kernel metadata Decode
+// ignores, so it is left out.
+func intStreams(e Encoded) [][]int32 {
+	switch e := e.(type) {
+	case *DenseEnc:
+		return nil
+	case *CSREnc:
+		return [][]int32{e.offsets, e.colIdx}
+	case *CSCEnc:
+		return [][]int32{e.offsets, e.rowIdx}
+	case *BCSREnc:
+		return [][]int32{e.offsets, e.colIdx}
+	case *COOEnc:
+		return [][]int32{e.rows, e.cols}
+	case *DOKEnc:
+		return [][]int32{e.keys}
+	case *LILEnc:
+		return e.colRows
+	case *ELLEnc:
+		return [][]int32{e.idx}
+	case *DIAEnc:
+		return [][]int32{e.diagNo}
+	case *SELLEnc:
+		return [][]int32{e.widths, e.idx}
+	case *ELLCOOEnc:
+		return [][]int32{e.idx, e.srow, e.scol}
+	case *JDSEnc:
+		return [][]int32{e.perm, e.ptr, e.idx}
+	case *SELLCSEnc:
+		return [][]int32{e.perm, e.widths, e.idx}
 	}
-	return v
+	panic(fmt.Sprintf("formats: intStreams has no case for %T", e))
+}
+
+// FuzzDecode encodes a fuzzed tile in every format kind picks, then
+// overwrites integer-stream entries: each 5-byte edit names a stream
+// (intStreams order), a little-endian 16-bit index into it and a
+// little-endian signed 16-bit value. Decode must return an error or a
+// structurally valid tile, never panic, and decoding through one builder
+// shared, and left dirty, across inputs must agree with it.
+func FuzzDecode(f *testing.F) {
+	shared := new(matrix.TileBuilder)
+	// Five entries of an 8×8 tile, in rows 0, 1, 2, 5 and 7.
+	tile := []byte{0, 3, 1, 1, 4, 2, 2, 2, 3, 5, 7, 4, 7, 0, 5}
+	f.Add(uint8(CSR), uint8(0), tile, []byte{})
+	f.Add(uint8(CSR), uint8(1), []byte{}, []byte{})
+	f.Add(uint8(CSR), uint8(0), tile, []byte{0, 0, 0, 3, 0, 0, 1, 0, 1, 0}) // decreasing offsets
+	f.Add(uint8(CSR), uint8(0), tile, []byte{1, 0, 0, 0xfc, 0xff})          // negative column
+	f.Add(uint8(COO), uint8(0), tile, []byte{0, 0, 0, 0xff, 0xff})          // sentinel in the middle
+	f.Add(uint8(COO), uint8(0), tile, []byte{0, 5, 0, 0, 0, 1, 5, 0, 0, 0}) // sentinel overwritten
+	f.Add(uint8(COO), uint8(0), tile, []byte{1, 1, 0, 0xfc, 0xff})          // negative column
+	f.Add(uint8(COO), uint8(0), tile, []byte{0, 2, 0, 200, 0})              // row past the tile
+	f.Add(uint8(DIA), uint8(0), tile, []byte{0, 0, 0, 200, 0})              // diagonal past the tile
+	f.Add(uint8(DIA), uint8(0), tile, []byte{0, 1, 0, 0xd8, 0xff})          // diagonal before the tile
+	f.Add(uint8(JDS), uint8(0), tile, []byte{0, 0, 0, 1, 0, 0, 1, 0, 1, 0}) // repeated permutation row
+	f.Add(uint8(JDS), uint8(0), tile, []byte{0, 2, 0, 0xfe, 0xff})          // negative permutation row
+	f.Add(uint8(JDS), uint8(0), tile, []byte{1, 0, 0, 0xff, 0xff})          // diagonal starting before the stream
+	for k := range NumKinds {
+		f.Add(uint8(k), uint8(0), tile, []byte{})
+	}
+	f.Fuzz(func(t *testing.T, kind, sel uint8, cells, edits []byte) {
+		k := Kind(int(kind) % NumKinds)
+		enc := Encode(k, fuzzTile(sel, cells))
+		streams := intStreams(enc)
+		for i := 0; i+4 < len(edits) && len(streams) > 0; i += 5 {
+			s := streams[int(edits[i])%len(streams)]
+			if len(s) > 0 {
+				at := int(binary.LittleEndian.Uint16(edits[i+1:])) % len(s)
+				s[at] = int32(int16(binary.LittleEndian.Uint16(edits[i+3:])))
+			}
+		}
+		dec, err := enc.Decode()
+		if err == nil {
+			fuzzTileOK(t, dec, enc.P())
+		}
+		into, errInto := enc.DecodeInto(shared)
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("%v: Decode error %v, shared-builder error %v", k, err, errInto)
+		}
+		if err == nil && !into.EqualValues(dec) {
+			t.Fatalf("%v: shared builder decoded a different tile than Decode", k)
+		}
+	})
 }

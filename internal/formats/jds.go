@@ -99,7 +99,7 @@ func (e *JDSEnc) DecodeInto(b *matrix.TileBuilder) (*matrix.Tile, error) {
 	b.Reset(e.p, 0, 0)
 	for k := 0; k < e.Width(); k++ {
 		start, end := int(e.ptr[k]), int(e.ptr[k+1])
-		if start > end || end > len(e.vals) {
+		if start < 0 || start > end || end > len(e.vals) {
 			return nil, corruptf("jds: diagonal %d range [%d,%d) invalid", k, start, end)
 		}
 		if end-start > e.p {

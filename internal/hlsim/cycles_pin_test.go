@@ -141,8 +141,8 @@ func TestUnknownKindIsErrorNotPanic(t *testing.T) {
 	if _, err := cfg.DirectComputeCycles(enc); !errors.Is(err, ErrUnknownFormat) {
 		t.Fatalf("DirectComputeCycles error = %v, want ErrUnknownFormat", err)
 	}
-	if _, err := RunTile(cfg, enc); !errors.Is(err, ErrUnknownFormat) {
-		t.Fatalf("RunTile error = %v, want ErrUnknownFormat", err)
+	if _, err := runTile(cfg, enc); !errors.Is(err, ErrUnknownFormat) {
+		t.Fatalf("runTile error = %v, want ErrUnknownFormat", err)
 	}
 }
 

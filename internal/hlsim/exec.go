@@ -99,27 +99,27 @@ func (pl *Plan) buildExec(ctx context.Context, k formats.Kind) (*planExec, error
 	return ex, nil
 }
 
-// ExecPool is a set of persistently parked worker goroutines shared by
+// execPool is a set of persistently parked worker goroutines shared by
 // the RunExecInto paths of every plan that uses it. Dispatch is a
 // non-blocking handoff: a job reaches exactly as many workers as are
 // parked at that instant, and a fully busy pool leaves the caller
 // executing alone — concurrent measurements degrade gracefully instead
 // of oversubscribing the host (the EncodePool token-bucket discipline,
 // with the tokens embodied as parked workers).
-type ExecPool struct {
+type execPool struct {
 	queue chan *execJob
 	quit  chan struct{}
 	idle  atomic.Int32
 	size  int
 }
 
-// NewExecPool starts a pool of `workers` parked helper goroutines
+// newExecPool starts a pool of `workers` parked helper goroutines
 // (0 means every caller executes alone).
-func NewExecPool(workers int) *ExecPool {
+func newExecPool(workers int) *execPool {
 	if workers < 0 {
 		workers = 0
 	}
-	p := &ExecPool{
+	p := &execPool{
 		queue: make(chan *execJob),
 		quit:  make(chan struct{}),
 		size:  workers,
@@ -131,7 +131,7 @@ func NewExecPool(workers int) *ExecPool {
 	return p
 }
 
-func (p *ExecPool) work() {
+func (p *execPool) work() {
 	for {
 		select {
 		case j := <-p.queue:
@@ -150,7 +150,7 @@ func (p *ExecPool) work() {
 // the idle increment, then Done, so park accounting still precedes Done:
 // once the dispatcher's Wait returns, every helper it reached is already
 // counted idle again — the invariant the leak test asserts.
-func (p *ExecPool) runJob(j *execJob) {
+func (p *execPool) runJob(j *execJob) {
 	p.idle.Add(-1)
 	defer j.wg.Done()
 	defer p.idle.Add(1)
@@ -163,35 +163,31 @@ func (p *ExecPool) runJob(j *execJob) {
 }
 
 // Size returns the pool's worker count.
-func (p *ExecPool) Size() int { return p.size }
+func (p *execPool) Size() int { return p.size }
 
 // Idle returns how many workers are parked right now. After every
 // dispatched job has completed (or been canceled), Idle equals Size —
 // cancellation restores full capacity; there is no token to leak.
-func (p *ExecPool) Idle() int { return int(p.idle.Load()) }
+func (p *execPool) Idle() int { return int(p.idle.Load()) }
 
 // Close stops the parked workers. Jobs already dispatched run to
 // completion; Close never strands a caller's WaitGroup.
-func (p *ExecPool) Close() { close(p.quit) }
+func (p *execPool) Close() { close(p.quit) }
 
 // sharedExec is the process-wide default pool, started on first use with
 // GOMAXPROCS-1 workers so a full-width RunExecInto (caller included)
 // matches the host's parallelism.
 var (
 	sharedExecOnce sync.Once
-	sharedExec     *ExecPool
+	sharedExec     *execPool
 )
 
-func sharedExecPool() *ExecPool {
+func sharedExecPool() *execPool {
 	sharedExecOnce.Do(func() {
-		sharedExec = NewExecPool(runtime.GOMAXPROCS(0) - 1)
+		sharedExec = newExecPool(runtime.GOMAXPROCS(0) - 1)
 	})
 	return sharedExec
 }
-
-// SetExecPool installs a (possibly shared) worker pool for this plan's
-// RunExecInto calls; nil restores the process-shared default.
-func (pl *Plan) SetExecPool(p *ExecPool) { pl.xpool.Store(p) }
 
 // execJob is one RunExecInto dispatch, pooled so the warm path performs
 // zero allocations. Workers and the caller claim block-row spans from

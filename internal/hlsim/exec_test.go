@@ -218,9 +218,9 @@ func TestExecPoolNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewExecPool(3)
+	pool := newExecPool(3)
 	defer pool.Close()
-	pl.SetExecPool(pool)
+	pl.xpool.Store(pool)
 	var r Result
 	if err := pl.RunExecInto(formats.CSR, x, &r, 4); err != nil {
 		t.Fatal(err)

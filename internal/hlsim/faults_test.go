@@ -1,7 +1,6 @@
 package hlsim
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -27,7 +26,7 @@ func TestEncodePanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
-	_, err = pl.RunContext(context.Background(), formats.CSR, x)
+	_, err = pl.Run(formats.CSR, x)
 	var pe *resilience.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *resilience.PanicError", err)
@@ -38,11 +37,11 @@ func TestEncodePanicContained(t *testing.T) {
 	// The slot was abandoned unpublished: the retry (fault exhausted)
 	// re-encodes cleanly and matches a never-faulted plan bit for bit.
 	faults.DisarmAll()
-	r, err := pl.RunContext(context.Background(), formats.CSR, x)
+	r, err := pl.Run(formats.CSR, x)
 	if err != nil {
 		t.Fatalf("retry after contained panic: %v", err)
 	}
-	ref, err := mustPlan(t, m, 16).RunContext(context.Background(), formats.CSR, x)
+	ref, err := mustPlan(t, m, 16).Run(formats.CSR, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +70,12 @@ func TestEncodeInjectedErrorNotSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindError, Times: 1})
-	if _, err := pl.RunContext(context.Background(), formats.ELL, x); !errors.Is(err, faults.Injected) {
+	if _, err := pl.Run(formats.ELL, x); !errors.Is(err, faults.Injected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
 	// Unlike a model error, an injected fault is not sticky: the very
 	// next call (injection exhausted) succeeds on the same plan.
-	if _, err := pl.RunContext(context.Background(), formats.ELL, x); err != nil {
+	if _, err := pl.Run(formats.ELL, x); err != nil {
 		t.Fatalf("slot poisoned by injected encode fault: %v", err)
 	}
 }
@@ -90,22 +89,22 @@ func TestVerifyFaultRetriesInFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults.Point("hlsim.verify.tile").Arm(faults.Injection{Kind: faults.KindError, Times: 1})
-	if _, err := pl.RunContext(context.Background(), formats.COO, x); !errors.Is(err, faults.Injected) {
+	if _, err := pl.Run(formats.COO, x); !errors.Is(err, faults.Injected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
-	if _, err := pl.RunContext(context.Background(), formats.COO, x); err != nil {
+	if _, err := pl.Run(formats.COO, x); err != nil {
 		t.Fatalf("verify not retried after injected fault: %v", err)
 	}
 
 	faults.Point("hlsim.verify.tile").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
 	pl2 := mustPlan(t, m, 16)
-	_, err = pl2.RunContext(context.Background(), formats.COO, x)
+	_, err = pl2.Run(formats.COO, x)
 	var pe *resilience.PanicError
 	if !errors.As(err, &pe) || pe.Point != "hlsim.verify.tile" {
 		t.Fatalf("err = %v, want PanicError at hlsim.verify.tile", err)
 	}
 	faults.DisarmAll()
-	if _, err := pl2.RunContext(context.Background(), formats.COO, x); err != nil {
+	if _, err := pl2.Run(formats.COO, x); err != nil {
 		t.Fatalf("verify slot poisoned by contained panic: %v", err)
 	}
 }
@@ -134,9 +133,9 @@ func TestExecSpanPanicContained(t *testing.T) {
 	m := gen.Random(192, 0.05, 337)
 	x := testVectorFor(m.Cols)
 	pl := mustPlan(t, m, 16)
-	pool := NewExecPool(3)
+	pool := newExecPool(3)
 	defer pool.Close()
-	pl.SetExecPool(pool)
+	pl.xpool.Store(pool)
 
 	// Warm first so the fault lands in the multiplication, not the warmup.
 	var ref Result
@@ -205,7 +204,7 @@ func TestEncodePoolNoLeakOnPanic(t *testing.T) {
 		pl := mustPlan(t, m, 16)
 		pl.SetEncodePool(pool)
 		faults.Point("hlsim.encode.tile").Arm(faults.Injection{Kind: faults.KindPanic, Times: 1})
-		_, err := pl.RunContext(context.Background(), formats.CSR, x)
+		_, err := pl.Run(formats.CSR, x)
 		var pe *resilience.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("run %d: err = %v, want *resilience.PanicError", i, err)

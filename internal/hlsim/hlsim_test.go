@@ -168,7 +168,6 @@ func TestMemCyclesUsesLongerLane(t *testing.T) {
 // SpMV computed through encode → hardware decode → dot products equals the
 // software reference for every format, on every workload shape.
 func TestRunFunctionalCorrectness(t *testing.T) {
-	cfg := Default()
 	mats := map[string]*matrix.CSR{
 		"random":   gen.Random(100, 0.05, 1),
 		"denseish": gen.Random(60, 0.4, 2),
@@ -186,7 +185,7 @@ func TestRunFunctionalCorrectness(t *testing.T) {
 		want := m.MulVec(x)
 		for _, k := range formats.All() {
 			for _, p := range []int{8, 16} {
-				res, err := Run(cfg, m, k, p, x)
+				res, err := mustPlan(t, m, p).Run(k, x)
 				if err != nil {
 					t.Fatalf("%s/%v/p=%d: %v", name, k, p, err)
 				}
@@ -202,7 +201,7 @@ func TestRunFunctionalCorrectness(t *testing.T) {
 
 func TestRunVectorLengthError(t *testing.T) {
 	m := gen.Random(32, 0.1, 1)
-	if _, err := Run(Default(), m, formats.CSR, 8, make([]float64, 31)); err == nil {
+	if _, err := mustPlan(t, m, 8).Run(formats.CSR, make([]float64, 31)); err == nil {
 		t.Fatal("mismatched vector accepted")
 	}
 }
@@ -211,7 +210,7 @@ func TestRunInvalidConfigError(t *testing.T) {
 	bad := Default()
 	bad.AXIBytesPerCycle = 0
 	m := gen.Random(16, 0.1, 1)
-	if _, err := Run(bad, m, formats.CSR, 8, make([]float64, 16)); err == nil {
+	if _, err := NewPlan(bad, m, 8); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -222,7 +221,7 @@ func TestResultAggregates(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	res, err := Run(Default(), m, formats.CSR, 16, x)
+	res, err := mustPlan(t, m, 16).Run(formats.CSR, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +251,14 @@ func TestResultAggregates(t *testing.T) {
 func TestUtilizationMetrics(t *testing.T) {
 	m := gen.Random(128, 0.05, 41)
 	x := make([]float64, 128)
-	dense, err := Run(Default(), m, formats.Dense, 16, x)
+	dense, err := mustPlan(t, m, 16).Run(formats.Dense, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u := dense.InnerPipelineUtilization(); u != 1 {
 		t.Fatalf("dense inner-pipeline utilization %v, want 1 (processes every row)", u)
 	}
-	csr, err := Run(Default(), m, formats.CSR, 16, x)
+	csr, err := mustPlan(t, m, 16).Run(formats.CSR, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestUtilizationMetrics(t *testing.T) {
 func TestSigmaAggregateDense(t *testing.T) {
 	m := gen.Random(96, 0.1, 9)
 	x := make([]float64, 96)
-	res, err := Run(Default(), m, formats.Dense, 16, x)
+	res, err := mustPlan(t, m, 16).Run(formats.Dense, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,14 +297,14 @@ func TestSigmaAggregateDense(t *testing.T) {
 func TestBalanceDenseNearOne(t *testing.T) {
 	m := gen.Random(128, 0.03, 11)
 	x := make([]float64, 128)
-	dense, err := Run(Default(), m, formats.Dense, 16, x)
+	dense, err := mustPlan(t, m, 16).Run(formats.Dense, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bd := math.Abs(math.Log(dense.BalanceRatio()))
 	closer := 0
 	for _, k := range formats.Sparse() {
-		res, err := Run(Default(), m, k, 16, x)
+		res, err := mustPlan(t, m, 16).Run(k, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,10 +322,10 @@ func TestRunTileDeterministic(t *testing.T) {
 	cfg := Default()
 	tile := randomTile(31, 16, 0.2)
 	for _, k := range formats.All() {
-		a, errA := RunTile(cfg, formats.Encode(k, tile))
-		b, errB := RunTile(cfg, formats.Encode(k, tile))
+		a, errA := runTile(cfg, formats.Encode(k, tile))
+		b, errB := runTile(cfg, formats.Encode(k, tile))
 		if errA != nil || errB != nil {
-			t.Fatalf("%v: RunTile errors %v, %v", k, errA, errB)
+			t.Fatalf("%v: runTile errors %v, %v", k, errA, errB)
 		}
 		if a != b {
 			t.Fatalf("%v: non-deterministic tile result", k)

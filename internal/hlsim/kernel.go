@@ -52,8 +52,8 @@ func (pl *Plan) KernelCycles(ctx context.Context, k formats.Kind, iters int) (ui
 // SpMMCycles prices one SpMM against a dense operand with `cols` columns
 // on format k: per tile the decomposition runs once and every non-zero
 // row's dot repeats per column, overlapped against the tile's single
-// memory stream — the same per-tile model as RunSpMM, without
-// materializing the functional product. cols = 1 equals the SpMV
+// memory stream — the same per-tile model as RunSpMM (spmmCycles),
+// without materializing the functional product. cols = 1 equals the SpMV
 // pipelined total exactly (dot latency is per row per column).
 func (pl *Plan) SpMMCycles(ctx context.Context, k formats.Kind, cols int) (uint64, error) {
 	if cols < 1 {
@@ -63,13 +63,22 @@ func (pl *Plan) SpMMCycles(ctx context.Context, k formats.Kind, cols int) (uint6
 	if err != nil {
 		return 0, err
 	}
+	_, pipelined := pl.spmmCycles(pf, cols)
+	return pipelined, nil
+}
+
+// spmmCycles is the per-tile SpMM cost model shared by RunSpMM and
+// SpMMCycles, summed over pf's tiles: each tile's compute is its
+// decomposition once plus every non-zero row's dot once per operand
+// column, overlapped against the tile's single memory stream.
+func (pl *Plan) spmmCycles(pf *planFormat, cols int) (compute, pipelined uint64) {
 	td := pl.cfg.DotLatency(pl.p)
-	var total uint64
 	for _, tr := range pf.tiles {
 		comp := tr.DecompCycles + tr.DotRows*cols*td
-		total += uint64(max(tr.MemCycles, comp))
+		compute += uint64(comp)
+		pipelined += uint64(max(tr.MemCycles, comp))
 	}
-	return total, nil
+	return compute, pipelined
 }
 
 // RunKernelInto is the exec-path iteration loop: `iters` back-to-back

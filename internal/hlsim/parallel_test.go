@@ -23,7 +23,7 @@ func TestRunParallelFunctional(t *testing.T) {
 	x := testVectorFor(m.Cols)
 	want := m.MulVec(x)
 	for _, lanes := range []int{1, 2, 4, 7} {
-		res, err := RunParallel(Default(), m, formats.COO, 16, x, lanes)
+		res, err := mustPlan(t, m, 16).RunParallel(formats.COO, x, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,11 +38,11 @@ func TestRunParallelFunctional(t *testing.T) {
 func TestRunParallelOneLaneMatchesRun(t *testing.T) {
 	m := gen.Random(128, 0.04, 5)
 	x := testVectorFor(m.Cols)
-	seq, err := Run(Default(), m, formats.CSR, 16, x)
+	seq, err := mustPlan(t, m, 16).Run(formats.CSR, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallel(Default(), m, formats.CSR, 16, x, 1)
+	par, err := mustPlan(t, m, 16).RunParallel(formats.CSR, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRunParallelSpeedup(t *testing.T) {
 	x := testVectorFor(m.Cols)
 	prev := uint64(math.MaxUint64)
 	for _, lanes := range []int{1, 2, 4, 8} {
-		res, err := RunParallel(Default(), m, formats.CSR, 16, x, lanes)
+		res, err := mustPlan(t, m, 16).RunParallel(formats.CSR, x, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +66,8 @@ func TestRunParallelSpeedup(t *testing.T) {
 		prev = res.TotalCycles
 	}
 	// 8 lanes over hundreds of tiles should give near-linear speedup.
-	one, _ := RunParallel(Default(), m, formats.CSR, 16, x, 1)
-	eight, _ := RunParallel(Default(), m, formats.CSR, 16, x, 8)
+	one, _ := mustPlan(t, m, 16).RunParallel(formats.CSR, x, 1)
+	eight, _ := mustPlan(t, m, 16).RunParallel(formats.CSR, x, 8)
 	speedup := float64(one.TotalCycles) / float64(eight.TotalCycles)
 	if speedup < 6 {
 		t.Fatalf("8-lane speedup %.2f, want ≥6 on a well-populated matrix", speedup)
@@ -78,7 +78,7 @@ func TestRunParallelEfficiencyBounds(t *testing.T) {
 	m := gen.Band(128, 8, 9)
 	x := testVectorFor(m.Cols)
 	for _, lanes := range []int{1, 3, 5} {
-		res, err := RunParallel(Default(), m, formats.DIA, 16, x, lanes)
+		res, err := mustPlan(t, m, 16).RunParallel(formats.DIA, x, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +92,10 @@ func TestRunParallelEfficiencyBounds(t *testing.T) {
 func TestRunParallelRejectsBadInput(t *testing.T) {
 	m := gen.Random(32, 0.1, 1)
 	x := testVectorFor(m.Cols)
-	if _, err := RunParallel(Default(), m, formats.CSR, 8, x, 0); err == nil {
+	if _, err := mustPlan(t, m, 8).RunParallel(formats.CSR, x, 0); err == nil {
 		t.Fatal("0 lanes accepted")
 	}
-	if _, err := RunParallel(Default(), m, formats.CSR, 8, x[:10], 2); err == nil {
+	if _, err := mustPlan(t, m, 8).RunParallel(formats.CSR, x[:10], 2); err == nil {
 		t.Fatal("short vector accepted")
 	}
 }
@@ -103,11 +103,11 @@ func TestRunParallelRejectsBadInput(t *testing.T) {
 func TestRunParallelDeterministic(t *testing.T) {
 	m := gen.Random(128, 0.05, 19)
 	x := testVectorFor(m.Cols)
-	a, err := RunParallel(Default(), m, formats.LIL, 16, x, 3)
+	a, err := mustPlan(t, m, 16).RunParallel(formats.LIL, x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunParallel(Default(), m, formats.LIL, 16, x, 3)
+	b, err := mustPlan(t, m, 16).RunParallel(formats.LIL, x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRunParallelDeterministic(t *testing.T) {
 func TestBubbleAccounting(t *testing.T) {
 	m := gen.Random(128, 0.05, 11)
 	x := testVectorFor(m.Cols)
-	res, err := Run(Default(), m, formats.CSC, 16, x)
+	res, err := mustPlan(t, m, 16).Run(formats.CSC, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBubbleAccounting(t *testing.T) {
 			res.MemStallFraction(), res.ComputeIdleFraction())
 	}
 	// Dense at p=32 is memory-bound: compute idles.
-	dense, err := Run(Default(), m, formats.Dense, 32, x)
+	dense, err := mustPlan(t, m, 32).Run(formats.Dense, x)
 	if err != nil {
 		t.Fatal(err)
 	}

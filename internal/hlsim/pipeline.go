@@ -1,9 +1,6 @@
 package hlsim
 
-import (
-	"copernicus/internal/formats"
-	"copernicus/internal/matrix"
-)
+import "copernicus/internal/formats"
 
 // TileResult records the modelled cost of streaming and processing one
 // compressed partition.
@@ -158,10 +155,10 @@ func (r *Result) InnerPipelineUtilization() float64 {
 	return float64(r.DotRows) / float64(uint64(r.NonZeroTiles)*uint64(r.P))
 }
 
-// RunTile models one encoded tile without touching vectors. A format the
+// runTile models one encoded tile without touching vectors. A format the
 // cycle model has no equations for returns an error wrapping
 // ErrUnknownFormat instead of panicking.
-func RunTile(cfg Config, enc formats.Encoded) (TileResult, error) {
+func runTile(cfg Config, enc formats.Encoded) (TileResult, error) {
 	dec, err := cfg.DecompCycles(enc)
 	if err != nil {
 		return TileResult{}, err
@@ -177,22 +174,4 @@ func RunTile(cfg Config, enc formats.Encoded) (TileResult, error) {
 		DotRows:       enc.Stats().DotRows,
 		Footprint:     enc.Footprint(),
 	}, nil
-}
-
-// Run streams every non-zero partition of m through the modelled
-// accelerator in format k with partition size p, multiplying by x. It
-// returns the functional SpMV result alongside the aggregated performance
-// model. The encoded streams are decoded back through the format's
-// decoder and cross-checked against the partition — any corruption
-// surfaces as an error rather than a wrong answer.
-//
-// Run builds a transient Plan per call; callers multiplying the same
-// matrix repeatedly should hold a NewPlan and call its Run method, which
-// partitions, encodes, and cross-checks only once.
-func Run(cfg Config, m *matrix.CSR, k formats.Kind, p int, x []float64) (*Result, error) {
-	pl, err := NewPlan(cfg, m, p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Run(k, x)
 }

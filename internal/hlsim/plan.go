@@ -17,11 +17,11 @@ import (
 
 // Plan is an encode-once streaming plan: one matrix partitioned at one
 // partition size, with each format's encodings, cycle costs and
-// decode-and-verify cross-check computed at most once and cached. The
-// package's one-shot functions (Run, RunParallel, RunSpMM, Trace,
-// BuildSchedule) each build a transient plan; callers that stream the
-// same matrix repeatedly — iterative kernels, characterization sweeps —
-// hold a Plan so each SpMV pays only the per-iteration dot work.
+// decode-and-verify cross-check computed at most once and cached. It is
+// the package's only entry to the model: a one-shot query builds a plan
+// and drops it, while callers that stream the same matrix repeatedly —
+// iterative kernels, characterization sweeps — hold one so each SpMV
+// pays only the per-iteration dot work.
 //
 // The plan is sparse-native end to end: the partitioning stores compact
 // per-tile CSR spans (O(nnz) resident, never p² buffers), each format's
@@ -49,9 +49,10 @@ type Plan struct {
 	// count even when many sweep groups warm plans at once.
 	encPool atomic.Pointer[EncodePool]
 
-	// xpool, when set, overrides the process-shared ExecPool used by the
-	// tile-parallel RunExecInto path; nil uses the shared default.
-	xpool atomic.Pointer[ExecPool]
+	// xpool, when set, overrides the process-shared execPool used by the
+	// tile-parallel RunExecInto path; nil uses the shared default. Only
+	// in-package tests set it, to observe a private pool's accounting.
+	xpool atomic.Pointer[execPool]
 
 	// spansOnce/spans hold the per-grid-block-row ownership table of the
 	// exec path: each span owns a contiguous y range and tile range, so
@@ -93,8 +94,8 @@ type planFormat struct {
 	tiles []TileResult
 	agg   formatAgg
 	// encs holds the encodings from format() until verify consumes them
-	// (freed afterwards); one-shot cycle-model consumers drop the whole
-	// plan, so nothing lingers.
+	// (freed afterwards); a plan that is only traced or scheduled keeps
+	// them until the plan itself is dropped.
 	encs []formats.Encoded
 	// sticky is the first model or decode/cross-check failure, published
 	// atomically so format() readers can observe it without locking.
@@ -154,9 +155,6 @@ func (pl *Plan) Matrix() *matrix.CSR { return pl.m }
 
 // P returns the partition size.
 func (pl *Plan) P() int { return pl.p }
-
-// Partitioning returns the cached partitioning.
-func (pl *Plan) Partitioning() *matrix.Partitioning { return pl.pt }
 
 // EncodePool is a token bucket lending helper goroutines to the
 // tile-parallel warmup of every plan that shares it. A format encode
@@ -295,7 +293,7 @@ func (pl *Plan) encodeFormat(ctx context.Context, k formats.Kind) (*planFormat, 
 	err := pl.eachTile(ctx, ptEncodeTile, func(lo, hi int) bool {
 		for i := lo; i < hi; i++ {
 			pf.encs[i] = formats.Encode(k, tiles[i])
-			tr, err := RunTile(pl.cfg, pf.encs[i])
+			tr, err := runTile(pl.cfg, pf.encs[i])
 			if err != nil {
 				// Unreachable for in-range Kinds (format guards the range),
 				// but a model gap must surface as the slot's sticky error.
@@ -542,17 +540,8 @@ func (pl *Plan) spmv(x []float64, y []float64) {
 // in format k, multiplying by x. Cycle totals come from the cached
 // per-format aggregates; only the functional dot work is paid per call.
 func (pl *Plan) Run(k formats.Kind, x []float64) (*Result, error) {
-	return pl.RunContext(context.Background(), k, x)
-}
-
-// RunContext is Run under a context: a cancellation aborts the one-time
-// warmup (encode and decode-verify) between tile chunks and returns
-// ctx.Err() without poisoning the plan's per-format slots — a later run
-// of the same format redoes the aborted phase cleanly. A warm format
-// ignores the context entirely (the remaining work is pure dot products).
-func (pl *Plan) RunContext(ctx context.Context, k formats.Kind, x []float64) (*Result, error) {
 	r := new(Result)
-	if err := pl.RunIntoContext(ctx, k, x, r); err != nil {
+	if err := pl.RunInto(k, x, r); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -570,10 +559,13 @@ func (pl *Plan) RunInto(k formats.Kind, x []float64, r *Result) error {
 	return pl.RunIntoContext(context.Background(), k, x, r)
 }
 
-// RunIntoContext is RunInto under a context; see RunContext for the
-// cancellation semantics. Once the format's encode and verify are
-// cached, a call performs zero allocations, takes no lock and checks no
-// context.
+// RunIntoContext is RunInto under a context: a cancellation aborts the
+// one-time warmup (encode and decode-verify) between tile chunks and
+// returns ctx.Err() without poisoning the plan's per-format slots — a
+// later run of the same format redoes the aborted phase cleanly. Once
+// the format's encode and verify are cached, a call performs zero
+// allocations, takes no lock and checks no context (the remaining work
+// is pure dot products).
 func (pl *Plan) RunIntoContext(ctx context.Context, k formats.Kind, x []float64, r *Result) error {
 	if err := pl.begin(ctx, k, x, r, "RunInto"); err != nil {
 		return err
@@ -624,9 +616,10 @@ func (pl *Plan) begin(ctx context.Context, k formats.Kind, x []float64, r *Resul
 	return nil
 }
 
-// RunParallel distributes the non-zero partitions across `lanes`
-// independent pipeline instances (round-robin, as in RunParallel the
-// free function) using the cached per-tile costs.
+// RunParallel streams the non-zero partitions across `lanes` independent
+// pipeline instances using the cached per-tile costs: round-robin
+// distribution, the static schedule a streaming DMA would use. With
+// lanes=1 it degenerates to Run's pipelined total.
 func (pl *Plan) RunParallel(k formats.Kind, x []float64, lanes int) (*ParallelResult, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("hlsim: RunParallel with %d lanes", lanes)
@@ -676,16 +669,11 @@ func (pl *Plan) RunSpMM(k formats.Kind, b []float64, cols int) (*SpMMResult, err
 		Kind: k, P: pl.p, Columns: cols,
 		Y:            make([]float64, pl.m.Rows*cols),
 		NonZeroTiles: len(pl.pt.Tiles),
+		MemCycles:    pf.agg.MemCycles,
+		DecompCycles: pf.agg.DecompCycles,
 		cfg:          pl.cfg,
 	}
-	td := pl.cfg.DotLatency(pl.p)
-	for _, tr := range pf.tiles {
-		comp := tr.DecompCycles + tr.DotRows*cols*td
-		r.MemCycles += uint64(tr.MemCycles)
-		r.DecompCycles += uint64(tr.DecompCycles)
-		r.ComputeCycles += uint64(comp)
-		r.PipelinedCycles += uint64(max(tr.MemCycles, comp))
-	}
+	r.ComputeCycles, r.PipelinedCycles = pl.spmmCycles(pf, cols)
 	pl.ensureRows()
 	for _, row := range pl.rows {
 		for kk := row.start; kk < row.end; kk++ {

@@ -45,7 +45,7 @@ func TestPlanCancelMidWarmupLeavesSlotConsistent(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	planEncodeHook = func(formats.Kind) { cancel() }
-	if _, err := pl.RunContext(ctx, formats.CSR, x); !errors.Is(err, context.Canceled) {
+	if err := pl.RunIntoContext(ctx, formats.CSR, x, new(Result)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled warmup returned %v, want context.Canceled", err)
 	}
 	planEncodeHook = nil
@@ -97,7 +97,7 @@ func TestPlanCancelLeaderPromotesWaiter(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := pl.RunContext(ctx, formats.COO, x)
+		err := pl.RunIntoContext(ctx, formats.COO, x, new(Result))
 		leaderErr <- err
 	}()
 	<-leaderParked

@@ -40,17 +40,6 @@ func (c Config) writeCycles(p int) int {
 	return ceilDiv(p*matrix.BytesPerValue, c.AXIBytesPerCycle) + c.BurstOverhead
 }
 
-// BuildSchedule computes the event-level pipeline timeline for a run.
-// It builds a transient Plan; hold a NewPlan to schedule several formats
-// of one matrix.
-func BuildSchedule(cfg Config, m *matrix.CSR, k formats.Kind, p int) (*Schedule, error) {
-	pl, err := NewPlan(cfg, m, p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Schedule(k)
-}
-
 // Validate checks the schedule's structural invariants: stage intervals
 // are well-formed, per-stage processing is serial and in order, and
 // every tile flows strictly forward through the pipeline.

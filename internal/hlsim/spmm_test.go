@@ -24,7 +24,7 @@ func TestSpMMFunctional(t *testing.T) {
 	const cols = 5
 	b := denseOperand(m.Cols, cols, 7)
 	for _, k := range formats.Core() {
-		res, err := RunSpMM(Default(), m, k, 16, b, cols)
+		res, err := mustPlan(t, m, 16).RunSpMM(k, b, cols)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -47,17 +47,16 @@ func TestSpMMFunctional(t *testing.T) {
 // TestSpMMAmortizesDecompression: per-column σ shrinks as the operand
 // widens for decompress-heavy formats, approaching the dots-only floor.
 func TestSpMMAmortizesDecompression(t *testing.T) {
-	cfg := Default()
 	m := gen.Random(128, 0.1, 5)
 	x := make([]float64, m.Cols)
-	run, err := Run(cfg, m, formats.CSR, 16, x)
+	run, err := mustPlan(t, m, 16).Run(formats.CSR, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := math.Inf(1)
 	for _, cols := range []int{1, 4, 16, 64} {
 		b := denseOperand(m.Cols, cols, 9)
-		res, err := RunSpMM(cfg, m, formats.CSR, 16, b, cols)
+		res, err := mustPlan(t, m, 16).RunSpMM(formats.CSR, b, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +76,13 @@ func TestSpMMAmortizesDecompression(t *testing.T) {
 // TestSpMMColumnOneMatchesSpMV: with one column the cycle model reduces
 // to the SpMV model exactly.
 func TestSpMMColumnOneMatchesSpMV(t *testing.T) {
-	cfg := Default()
 	m := gen.Band(96, 8, 11)
 	x := denseOperand(m.Cols, 1, 13)
-	run, err := Run(cfg, m, formats.DIA, 16, x)
+	run, err := mustPlan(t, m, 16).Run(formats.DIA, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := RunSpMM(cfg, m, formats.DIA, 16, x, 1)
+	mm, err := mustPlan(t, m, 16).RunSpMM(formats.DIA, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +101,10 @@ func TestSpMMColumnOneMatchesSpMV(t *testing.T) {
 
 func TestSpMMRejectsBadInput(t *testing.T) {
 	m := gen.Random(32, 0.1, 1)
-	if _, err := RunSpMM(Default(), m, formats.CSR, 8, nil, 0); err == nil {
+	if _, err := mustPlan(t, m, 8).RunSpMM(formats.CSR, nil, 0); err == nil {
 		t.Fatal("0 columns accepted")
 	}
-	if _, err := RunSpMM(Default(), m, formats.CSR, 8, make([]float64, 10), 2); err == nil {
+	if _, err := mustPlan(t, m, 8).RunSpMM(formats.CSR, make([]float64, 10), 2); err == nil {
 		t.Fatal("short operand accepted")
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"copernicus/internal/formats"
-	"copernicus/internal/matrix"
 )
 
 // TileTrace is the per-partition event record of one streaming run: what
@@ -23,17 +20,6 @@ type TileTrace struct {
 	Pipelined     int // max(mem, compute)
 	Bubble        int // |mem - compute|: the faster stage's wait
 	MemoryBound   bool
-}
-
-// Trace streams every non-zero partition and records a TileTrace per
-// tile, in streaming order. It builds a transient Plan; hold a NewPlan
-// to trace several formats of one matrix.
-func Trace(cfg Config, m *matrix.CSR, k formats.Kind, p int) ([]TileTrace, error) {
-	pl, err := NewPlan(cfg, m, p)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Trace(k)
 }
 
 // TraceSummary aggregates a trace.

@@ -82,10 +82,7 @@ func (s *Server) body(e *sweepEntry, k bodyKind, ctr *encCounter, build func() [
 	}
 	e.mu.Unlock()
 
-	start := time.Now()
-	b := build()
-	ctr.encodes.Add(1)
-	ctr.encodeNs.Add(time.Since(start).Nanoseconds())
+	b := ctr.encode(build)
 
 	e.mu.Lock()
 	if e.body[k] == nil {
@@ -124,6 +121,16 @@ type encCounter struct {
 	bytes     atomic.Int64
 	encodes   atomic.Int64
 	encodeNs  atomic.Int64
+}
+
+// encode runs one body encode and tallies it: every encode a handler
+// pays, cached or per request, goes through here.
+func (c *encCounter) encode(build func() []byte) []byte {
+	start := time.Now()
+	b := build()
+	c.encodes.Add(1)
+	c.encodeNs.Add(time.Since(start).Nanoseconds())
+	return b
 }
 
 func (c *encCounter) snapshot() map[string]int64 {

@@ -770,13 +770,21 @@ func (s *Server) writeColumnar(w http.ResponseWriter, entry *sweepEntry, cached 
 	})
 }
 
+// writeColumnarRows answers with rows that are not a sweep cache entry
+// (advise rankings, finished jobs) as a columnar slab encoded per
+// request; hdr adds the endpoint's metadata headers.
+func (s *Server) writeColumnarRows(w http.ResponseWriter, rows []core.Result, hdr func(http.Header)) {
+	body := s.encCol.encode(func() []byte { return wire.Encode(rows) })
+	s.writeBody(w, wire.ContentType, &s.encCol, body, func(h http.Header) {
+		h.Set(headerRows, strconv.Itoa(len(rows)))
+		hdr(h)
+	})
+}
+
 // writeJSONCounted is writeJSON plus the encoding counters — the cold
 // JSON path, where the encode is paid exactly once per cache entry.
 func (s *Server) writeJSONCounted(w http.ResponseWriter, v any) {
-	start := time.Now()
-	body := marshalJSONBody(v)
-	s.encJSON.encodes.Add(1)
-	s.encJSON.encodeNs.Add(time.Since(start).Nanoseconds())
+	body := s.encJSON.encode(func() []byte { return marshalJSONBody(v) })
 	s.writeBody(w, "application/json", &s.encJSON, body, nil)
 }
 
@@ -949,14 +957,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		// part of the JSON envelope by far — with the verdict metadata in
 		// headers. Encoded per request: the ranked row order depends on
 		// the objective, which is not part of the sweep cache key.
-		start := time.Now()
-		body := wire.Encode(rec.Results)
-		s.encCol.encodes.Add(1)
-		s.encCol.encodeNs.Add(time.Since(start).Nanoseconds())
-		s.writeBody(w, wire.ContentType, &s.encCol, body, func(h http.Header) {
+		s.writeColumnarRows(w, rec.Results, func(h http.Header) {
 			h.Set(headerMatrix, pt.info.ID)
 			h.Set(headerCached, strconv.FormatBool(cached))
-			h.Set(headerRows, strconv.Itoa(len(rec.Results)))
 			h.Set(headerAdviseFormat, rec.Format.String())
 			h.Set(headerAdviseRanking, strings.Join(ranking, ","))
 			h.Set(headerAdviseClass, class.String())

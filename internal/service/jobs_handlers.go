@@ -6,13 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"copernicus/internal/core"
 	"copernicus/internal/jobs"
 	"copernicus/internal/scenario"
-	"copernicus/internal/wire"
 	"copernicus/internal/workloads"
 )
 
@@ -113,14 +110,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 				// A finished job's rows as the raw columnar slab; the job
 				// record moves to a header. Encoded per request — job
 				// results live in the job store, not the sweep LRU.
-				start := time.Now()
-				body := wire.Encode(rs)
-				s.encCol.encodes.Add(1)
-				s.encCol.encodeNs.Add(time.Since(start).Nanoseconds())
-				s.writeBody(w, wire.ContentType, &s.encCol, body, func(h http.Header) {
-					h.Set(headerJob, ji.ID)
-					h.Set(headerRows, strconv.Itoa(len(rs)))
-				})
+				s.writeColumnarRows(w, rs, func(h http.Header) { h.Set(headerJob, ji.ID) })
 				return
 			}
 			resp["results"] = toResultsJSON(rs)
