@@ -110,53 +110,94 @@ func intStreams(e Encoded) [][]int32 {
 	panic(fmt.Sprintf("formats: intStreams has no case for %T", e))
 }
 
-// FuzzDecode encodes a fuzzed tile in every format kind picks, then
-// overwrites integer-stream entries: each 5-byte edit names a stream
-// (intStreams order), a little-endian 16-bit index into it and a
-// little-endian signed 16-bit value. Decode must return an error or a
-// structurally valid tile, never panic, and decoding through one builder
-// shared, and left dirty, across inputs must agree with it.
+// decodeFuzzTile is the tile every decode fuzz seed corrupts: five
+// entries of an 8×8 tile (sel 0), in rows 0, 1, 2, 5 and 7.
+var decodeFuzzTile = []byte{0, 3, 1, 1, 4, 2, 2, 2, 3, 5, 7, 4, 7, 0, 5}
+
+// checkCorruptDecode encodes a fuzzed tile in format k, then overwrites
+// integer-stream entries: each 5-byte edit names a stream (intStreams
+// order), a little-endian 16-bit index into it and a little-endian
+// signed 16-bit value. Decode must return an error or a structurally
+// valid tile, never panic, and decoding through one builder shared, and
+// left dirty, across inputs must agree with it.
+func checkCorruptDecode(t *testing.T, shared *matrix.TileBuilder, k Kind, sel uint8, cells, edits []byte) {
+	t.Helper()
+	enc := Encode(k, fuzzTile(sel, cells))
+	streams := intStreams(enc)
+	for i := 0; i+4 < len(edits) && len(streams) > 0; i += 5 {
+		s := streams[int(edits[i])%len(streams)]
+		if len(s) > 0 {
+			at := int(binary.LittleEndian.Uint16(edits[i+1:])) % len(s)
+			s[at] = int32(int16(binary.LittleEndian.Uint16(edits[i+3:])))
+		}
+	}
+	dec, err := enc.Decode()
+	if err == nil {
+		fuzzTileOK(t, dec, enc.P())
+	}
+	into, errInto := enc.DecodeInto(shared)
+	if (err == nil) != (errInto == nil) {
+		t.Fatalf("%v: Decode error %v, shared-builder error %v", k, err, errInto)
+	}
+	if err == nil && !into.EqualValues(dec) {
+		t.Fatalf("%v: shared builder decoded a different tile than Decode", k)
+	}
+}
+
+// FuzzDecode runs checkCorruptDecode on every format, the fuzz input
+// picking the kind; it is seeded with each format's valid encoding.
 func FuzzDecode(f *testing.F) {
 	shared := new(matrix.TileBuilder)
-	// Five entries of an 8×8 tile, in rows 0, 1, 2, 5 and 7.
-	tile := []byte{0, 3, 1, 1, 4, 2, 2, 2, 3, 5, 7, 4, 7, 0, 5}
-	f.Add(uint8(CSR), uint8(0), tile, []byte{})
-	f.Add(uint8(CSR), uint8(1), []byte{}, []byte{})
-	f.Add(uint8(CSR), uint8(0), tile, []byte{0, 0, 0, 3, 0, 0, 1, 0, 1, 0}) // decreasing offsets
-	f.Add(uint8(CSR), uint8(0), tile, []byte{1, 0, 0, 0xfc, 0xff})          // negative column
-	f.Add(uint8(COO), uint8(0), tile, []byte{0, 0, 0, 0xff, 0xff})          // sentinel in the middle
-	f.Add(uint8(COO), uint8(0), tile, []byte{0, 5, 0, 0, 0, 1, 5, 0, 0, 0}) // sentinel overwritten
-	f.Add(uint8(COO), uint8(0), tile, []byte{1, 1, 0, 0xfc, 0xff})          // negative column
-	f.Add(uint8(COO), uint8(0), tile, []byte{0, 2, 0, 200, 0})              // row past the tile
-	f.Add(uint8(DIA), uint8(0), tile, []byte{0, 0, 0, 200, 0})              // diagonal past the tile
-	f.Add(uint8(DIA), uint8(0), tile, []byte{0, 1, 0, 0xd8, 0xff})          // diagonal before the tile
-	f.Add(uint8(JDS), uint8(0), tile, []byte{0, 0, 0, 1, 0, 0, 1, 0, 1, 0}) // repeated permutation row
-	f.Add(uint8(JDS), uint8(0), tile, []byte{0, 2, 0, 0xfe, 0xff})          // negative permutation row
-	f.Add(uint8(JDS), uint8(0), tile, []byte{1, 0, 0, 0xff, 0xff})          // diagonal starting before the stream
 	for k := range NumKinds {
-		f.Add(uint8(k), uint8(0), tile, []byte{})
+		f.Add(uint8(k), uint8(0), decodeFuzzTile, []byte{})
 	}
 	f.Fuzz(func(t *testing.T, kind, sel uint8, cells, edits []byte) {
-		k := Kind(int(kind) % NumKinds)
-		enc := Encode(k, fuzzTile(sel, cells))
-		streams := intStreams(enc)
-		for i := 0; i+4 < len(edits) && len(streams) > 0; i += 5 {
-			s := streams[int(edits[i])%len(streams)]
-			if len(s) > 0 {
-				at := int(binary.LittleEndian.Uint16(edits[i+1:])) % len(s)
-				s[at] = int32(int16(binary.LittleEndian.Uint16(edits[i+3:])))
-			}
-		}
-		dec, err := enc.Decode()
-		if err == nil {
-			fuzzTileOK(t, dec, enc.P())
-		}
-		into, errInto := enc.DecodeInto(shared)
-		if (err == nil) != (errInto == nil) {
-			t.Fatalf("%v: Decode error %v, shared-builder error %v", k, err, errInto)
-		}
-		if err == nil && !into.EqualValues(dec) {
-			t.Fatalf("%v: shared builder decoded a different tile than Decode", k)
-		}
+		checkCorruptDecode(t, shared, Kind(int(kind)%NumKinds), sel, cells, edits)
+	})
+}
+
+// FuzzCSRDecode, FuzzCOODecode, FuzzDIADecode and FuzzJDSDecode pin
+// checkCorruptDecode to one format, so `go test -fuzz` can spend its
+// whole budget on that decoder, and carry the corruption shapes that
+// format's decoder is known to have to reject.
+
+func FuzzCSRDecode(f *testing.F) {
+	shared := new(matrix.TileBuilder)
+	f.Add(uint8(0), decodeFuzzTile, []byte{})
+	f.Add(uint8(1), []byte{}, []byte{})
+	f.Add(uint8(0), decodeFuzzTile, []byte{0, 0, 0, 3, 0, 0, 1, 0, 1, 0}) // decreasing offsets
+	f.Add(uint8(0), decodeFuzzTile, []byte{1, 0, 0, 0xfc, 0xff})          // negative column
+	f.Fuzz(func(t *testing.T, sel uint8, cells, edits []byte) {
+		checkCorruptDecode(t, shared, CSR, sel, cells, edits)
+	})
+}
+
+func FuzzCOODecode(f *testing.F) {
+	shared := new(matrix.TileBuilder)
+	f.Add(uint8(0), decodeFuzzTile, []byte{0, 0, 0, 0xff, 0xff})          // sentinel in the middle
+	f.Add(uint8(0), decodeFuzzTile, []byte{0, 5, 0, 0, 0, 1, 5, 0, 0, 0}) // sentinel overwritten
+	f.Add(uint8(0), decodeFuzzTile, []byte{1, 1, 0, 0xfc, 0xff})          // negative column
+	f.Add(uint8(0), decodeFuzzTile, []byte{0, 2, 0, 200, 0})              // row past the tile
+	f.Fuzz(func(t *testing.T, sel uint8, cells, edits []byte) {
+		checkCorruptDecode(t, shared, COO, sel, cells, edits)
+	})
+}
+
+func FuzzDIADecode(f *testing.F) {
+	shared := new(matrix.TileBuilder)
+	f.Add(uint8(0), decodeFuzzTile, []byte{0, 0, 0, 200, 0})     // diagonal past the tile
+	f.Add(uint8(0), decodeFuzzTile, []byte{0, 1, 0, 0xd8, 0xff}) // diagonal before the tile
+	f.Fuzz(func(t *testing.T, sel uint8, cells, edits []byte) {
+		checkCorruptDecode(t, shared, DIA, sel, cells, edits)
+	})
+}
+
+func FuzzJDSDecode(f *testing.F) {
+	shared := new(matrix.TileBuilder)
+	f.Add(uint8(0), decodeFuzzTile, []byte{0, 0, 0, 1, 0, 0, 1, 0, 1, 0}) // repeated permutation row
+	f.Add(uint8(0), decodeFuzzTile, []byte{0, 2, 0, 0xfe, 0xff})          // negative permutation row
+	f.Add(uint8(0), decodeFuzzTile, []byte{1, 0, 0, 0xff, 0xff})          // diagonal starting before the stream
+	f.Fuzz(func(t *testing.T, sel uint8, cells, edits []byte) {
+		checkCorruptDecode(t, shared, JDS, sel, cells, edits)
 	})
 }
